@@ -33,6 +33,16 @@ let emit_bench ~file ~prefix ~title ~unit values =
   Obs.Export.write_file file (Obs.Export.metrics_json ~prefix ());
   Printf.printf "  -> %s\n" file
 
+(* The source revision a bench ran on (a host field of BENCH files). *)
+let git_commit () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic ->
+    let line = try input_line ic with End_of_file -> "unknown" in
+    (match Unix.close_process_in ic with
+     | Unix.WEXITED 0 -> line
+     | Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> "unknown")
+
 (* --- 1. Section III example ---------------------------------------------------- *)
 
 let section3_example () =
@@ -579,6 +589,29 @@ let suite_bench ?(emit_json = true) ?(verify = true) ?(verify_each = false)
         via [Bdd.set_default_mode `Private] (byte-identical output required)
    The headline metric is the C/A node-allocation ratio: 1.5x means the
    shared table absorbs a third of all BDD node constructions. *)
+(* One image step of the reachability engine on the product machine the
+   flow's own check builds: the mapped circuit against its resynthesized
+   version (the mapped circuit itself when resynthesis declines).  The step
+   maps the full reachable set to its successors, the widest image of the
+   fixpoint.  Returns (product latches, reachable states, ms per image). *)
+let image_step name =
+  let net = (Circuits.Suite.find name).Circuits.Suite.build () in
+  let mapped = Core.Flow.script_delay_flow net ~lib:Techmap.Genlib.mcnc_lite in
+  let other =
+    match Core.Flow.resynthesis_flow (N.copy mapped) with
+    | Ok (result, _) -> result
+    | Error _ -> N.copy mapped
+  in
+  let machine, _ = Sim.Symbolic.product mapped other in
+  let reached = Sim.Symbolic.reachable machine in
+  let states =
+    Bdd.sat_count (Sim.Symbolic.man machine)
+      ~nvars:(Sim.Symbolic.num_latches machine)
+      (Sim.Symbolic.latch_space machine reached)
+  in
+  let s = time_pass (fun () -> Sim.Symbolic.image machine reached) in
+  (Sim.Symbolic.num_latches machine, states, 1000.0 *. s)
+
 let bdd_bench ?(emit_json = true) ?(quick = false) ?(jobs = 4) () =
   section
     "Shared BDD manager: node dedup + parallel determinism (--eqcheck-each)";
@@ -664,31 +697,45 @@ let bdd_bench ?(emit_json = true) ?(quick = false) ?(jobs = 4) () =
   Printf.printf
     "  slowest row: %s at %.2fs serial (%.0f%% of phase A)\n" slowest_row
     slowest_row_s slowest_row_share;
+  let images =
+    List.map
+      (fun name ->
+        let latches, states, ms = image_step name in
+        Printf.printf
+          "  image step %-5s %2d product latches, %8.0f reachable states: \
+           %8.3f ms\n"
+          name latches states ms;
+        (name, ms))
+      [ "s298"; "s420" ]
+  in
   if emit_json then begin
     Obs.Metrics.enable ();
     Obs.Metrics.set_info "bench.bdd.slowest_row" slowest_row;
+    Obs.Metrics.set_info "bench.bdd.ocaml_version" Sys.ocaml_version;
+    Obs.Metrics.set_info "bench.bdd.commit" (git_commit ());
     emit_bench ~file:"BENCH_bdd.json" ~prefix:"bench.bdd"
       ~title:"shared vs private BDD tables on the --eqcheck-each suite"
       ~unit:"nodes_per_run"
-      [ ("rows", float_of_int rows_n);
-        ("jobs", float_of_int jobs);
-        ("cores", float_of_int (Core.Parallel.cores ()));
-        ("jobs_exceed_cores", if Core.Parallel.oversubscribed ~jobs then 1.0 else 0.0);
-        ("shared_serial_s", a_s);
-        ("shared_parallel_s", b_s);
-        ("private_serial_s", c_s);
-        ("shared_nodes", float_of_int a_nodes);
-        ("private_nodes", float_of_int c_nodes);
-        ("node_dedup_ratio", node_ratio);
-        ("shared_heap_mwords", a_bytes /. 8e6);
-        ("private_heap_mwords", c_bytes /. 8e6);
-        ("heap_word_ratio", word_ratio);
-        ("slowest_row_s", slowest_row_s);
-        ("slowest_row_share_pct", slowest_row_share);
-        ("proved", float_of_int proved);
-        ("refuted", float_of_int refuted);
-        ("unknown", float_of_int unknown);
-        ("byte_identical", 1.0) ]
+      ([ ("rows", float_of_int rows_n);
+         ("jobs", float_of_int jobs);
+         ("cores", float_of_int (Core.Parallel.cores ()));
+         ("jobs_exceed_cores", if Core.Parallel.oversubscribed ~jobs then 1.0 else 0.0);
+         ("shared_serial_s", a_s);
+         ("shared_parallel_s", b_s);
+         ("private_serial_s", c_s);
+         ("shared_nodes", float_of_int a_nodes);
+         ("private_nodes", float_of_int c_nodes);
+         ("node_dedup_ratio", node_ratio);
+         ("shared_heap_mwords", a_bytes /. 8e6);
+         ("private_heap_mwords", c_bytes /. 8e6);
+         ("heap_word_ratio", word_ratio);
+         ("slowest_row_s", slowest_row_s);
+         ("slowest_row_share_pct", slowest_row_share);
+         ("proved", float_of_int proved);
+         ("refuted", float_of_int refuted);
+         ("unknown", float_of_int unknown);
+         ("byte_identical", 1.0) ]
+       @ List.map (fun (name, ms) -> ("image_" ^ name ^ "_ms", ms)) images)
   end;
   node_ratio
 

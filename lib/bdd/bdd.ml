@@ -650,6 +650,13 @@ let cofactor man f i value =
   in
   go f
 
+(* The largest variable of a sorted variable set, and its membership test. *)
+let var_set vars =
+  let last = List.fold_left max (-1) vars in
+  let member = Array.make (last + 1) false in
+  List.iter (fun v -> member.(v) <- true) vars;
+  (last, fun v -> v <= last && member.(v))
+
 (* Existential quantification over a variable set.  The per-domain cache is
    keyed on the node only, so it is cleared whenever the variable set or the
    owning scope changes. *)
@@ -663,12 +670,12 @@ let quantify man ~universal vars f =
     c.exists_owner <- man.uid
   end;
   let t = man.table in
-  let in_set v = List.mem v vars in
+  let last, in_set = var_set vars in
   let rec go f =
     if f < 2 then f
     else begin
       let v = var_of_id t f in
-      if List.for_all (fun x -> x < v) vars then f
+      if v > last then f
       else
         match Hashtbl.find_opt c.exists_cache f with
         | Some r ->
@@ -693,22 +700,26 @@ let quantify man ~universal vars f =
 let exists man vars f = quantify man ~universal:false vars f
 let forall man vars f = quantify man ~universal:true vars f
 
+module Int_tbl = Hashtbl.Make (Int)
+
 (* Relational product exists vars (a AND b) computed in one recursion; cached
    in a local table per call. *)
 let and_exists man vars a b =
   let vars = List.sort_uniq compare vars in
-  let in_set v = List.mem v vars in
+  let _, in_set = var_set vars in
   let t = man.table in
   let c = dcache_of t in
-  let cache = Hashtbl.create 1024 in
+  let cache = Int_tbl.create 1024 in
   let rec go a b =
     if a = bfalse || b = bfalse then bfalse
     else if a = btrue && b = btrue then btrue
     else if a = btrue then exists man vars b
     else if b = btrue then exists man vars a
     else begin
-      let key = if a <= b then (a, b) else (b, a) in
-      match Hashtbl.find_opt cache key with
+      (* handles are below 2^27 (see [max_blocks]), so a pair packs into
+         one int *)
+      let key = if a <= b then (a lsl 31) lor b else (b lsl 31) lor a in
+      match Int_tbl.find_opt cache key with
       | Some r -> r
       | None ->
         let va = var_of man a and vb = var_of man b in
@@ -728,7 +739,7 @@ let and_exists man vars a b =
             mk_c man c v lo hi
           end
         in
-        Hashtbl.add cache key r;
+        Int_tbl.add cache key r;
         r
     end
   in
@@ -837,14 +848,19 @@ let eval man f assign =
   in
   go f
 
-let of_cover man cover =
+let of_cover ?fanins man cover =
+  let pos, neg =
+    match fanins with
+    | None -> (var man, nvar man)
+    | Some f -> ((fun i -> f.(i)), fun i -> bnot man f.(i))
+  in
   let cube_bdd c =
     let acc = ref btrue in
     Logic.Cube.iteri
       (fun v l ->
         match l with
-        | Logic.Cube.One -> acc := band man !acc (var man v)
-        | Logic.Cube.Zero -> acc := band man !acc (nvar man v)
+        | Logic.Cube.One -> acc := band man !acc (pos v)
+        | Logic.Cube.Zero -> acc := band man !acc (neg v)
         | Logic.Cube.Both -> ())
       c;
     !acc

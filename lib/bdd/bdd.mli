@@ -107,7 +107,9 @@ val any_sat : man -> t -> (int * bool) list
 
 val eval : man -> t -> (int -> bool) -> bool
 
-val of_cover : man -> Logic.Cover.t -> t
+val of_cover : ?fanins:t array -> man -> Logic.Cover.t -> t
+(** The sum of the cover's cubes, variable [i] of the cover standing for
+    [fanins.(i)] (default: the BDD variable [i]). *)
 
 exception Cover_too_large
 

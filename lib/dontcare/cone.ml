@@ -41,22 +41,7 @@ let collapse ?(max_leaves = 14) net root =
         | N.Input | N.Latch _ -> Bdd.var man (Hashtbl.find var_of id)
         | N.Const b -> if b then Bdd.btrue else Bdd.bfalse
         | N.Logic cover ->
-          let fanins = Array.map value_of n.N.fanins in
-          let cube_bdd cube =
-            let acc = ref Bdd.btrue in
-            Logic.Cube.iteri
-              (fun i l ->
-                match l with
-                | Logic.Cube.One -> acc := Bdd.band man !acc fanins.(i)
-                | Logic.Cube.Zero ->
-                  acc := Bdd.band man !acc (Bdd.bnot man fanins.(i))
-                | Logic.Cube.Both -> ())
-              cube;
-            !acc
-          in
-          List.fold_left
-            (fun acc c -> Bdd.bor man acc (cube_bdd c))
-            Bdd.bfalse cover.Logic.Cover.cubes
+          Bdd.of_cover ~fanins:(Array.map value_of n.N.fanins) man cover
       in
       Hashtbl.add values id v;
       v

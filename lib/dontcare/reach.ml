@@ -1,6 +1,6 @@
 module N = Netlist.Network
 
-exception Too_large of string
+exception Too_large = Sim.Symbolic.Too_large
 
 type result = {
   latch_order : N.node list;
@@ -9,8 +9,6 @@ type result = {
   num_reachable : float;
 }
 
-(* Variable layout: primary inputs first, then present-state variables, then
-   next-state variables. *)
 let unreachable_states ?(max_latches = 24) ?(max_bdd_nodes = 2_000_000) net =
   let latches = N.latches net in
   let nlatch = List.length latches in
@@ -18,102 +16,22 @@ let unreachable_states ?(max_latches = 24) ?(max_bdd_nodes = 2_000_000) net =
     raise (Too_large "no latches: no state space to enumerate");
   if nlatch > max_latches then
     raise (Too_large (Printf.sprintf "%d latches" nlatch));
-  let pis = N.inputs net in
-  let npi = List.length pis in
-  (* a scope on the shared table: [Bdd.node_count] below charges only this
-     traversal, so the node budget is independent of whatever other rows or
-     domains have already built *)
-  let man = Bdd.create () in
-  let ps_var = Hashtbl.create 16 in
-  List.iteri (fun j l -> Hashtbl.add ps_var l.N.id (npi + j)) latches;
-  let pi_var = Hashtbl.create 16 in
-  List.iteri (fun i p -> Hashtbl.add pi_var p.N.id i) pis;
-  (* combinational node values *)
-  let values = Hashtbl.create 256 in
-  List.iter
-    (fun p -> Hashtbl.add values p.N.id (Bdd.var man (Hashtbl.find pi_var p.N.id)))
-    pis;
-  List.iter
-    (fun l -> Hashtbl.add values l.N.id (Bdd.var man (Hashtbl.find ps_var l.N.id)))
-    latches;
-  List.iter
-    (fun n ->
-      match n.N.kind with
-      | N.Const b -> Hashtbl.add values n.N.id (if b then Bdd.btrue else Bdd.bfalse)
-      | N.Input | N.Latch _ | N.Logic _ -> ())
-    (N.all_nodes net);
-  List.iter
-    (fun n ->
-      let fanins = Array.map (fun f -> Hashtbl.find values f) n.N.fanins in
-      let cover = N.cover_of n in
-      let cube_bdd cube =
-        let acc = ref Bdd.btrue in
-        Logic.Cube.iteri
-          (fun i l ->
-            match l with
-            | Logic.Cube.One -> acc := Bdd.band man !acc fanins.(i)
-            | Logic.Cube.Zero -> acc := Bdd.band man !acc (Bdd.bnot man fanins.(i))
-            | Logic.Cube.Both -> ())
-          cube;
-        !acc
-      in
-      let v =
-        List.fold_left
-          (fun acc c -> Bdd.bor man acc (cube_bdd c))
-          Bdd.bfalse cover.Logic.Cover.cubes
-      in
-      Hashtbl.add values n.N.id v;
-      if Bdd.node_count man > max_bdd_nodes then
-        raise (Too_large "BDD blow-up while building transition functions"))
-    (N.topo_combinational net);
-  (* transition relation over ns variables *)
-  let ns_base = npi + nlatch in
-  let transition = ref Bdd.btrue in
-  List.iteri
-    (fun j l ->
-      let f = Hashtbl.find values (N.latch_data net l).N.id in
-      transition :=
-        Bdd.band man !transition
-          (Bdd.bxnor man (Bdd.var man (ns_base + j)) f))
-    latches;
-  (* initial state set *)
-  let init = ref Bdd.btrue in
-  List.iter
-    (fun l ->
-      let v = Bdd.var man (Hashtbl.find ps_var l.N.id) in
-      match N.latch_init l with
-      | N.I0 -> init := Bdd.band man !init (Bdd.bnot man v)
-      | N.I1 -> init := Bdd.band man !init v
-      | N.Ix -> ())
-    latches;
-  let pi_vars = List.init npi Fun.id in
-  let ps_vars = List.init nlatch (fun j -> npi + j) in
-  let image r =
-    let after = Bdd.and_exists man (pi_vars @ ps_vars) !transition r in
-    Bdd.rename man after (fun v -> v - nlatch)
+  (* the engine's scope charges only this traversal, so the node budget is
+     independent of whatever other rows or domains have already built *)
+  let machine = Sim.Symbolic.create ~max_nodes:max_bdd_nodes [ (net, latches) ] in
+  let man = Sim.Symbolic.man machine in
+  let reached =
+    Sim.Symbolic.latch_space machine (Sim.Symbolic.reachable machine)
   in
-  let rec fixpoint reached frontier =
-    if Bdd.node_count man > max_bdd_nodes then
-      raise (Too_large "BDD blow-up during reachability");
-    let next = image frontier in
-    let fresh = Bdd.band man next (Bdd.bnot man reached) in
-    if Bdd.is_false fresh then reached
-    else fixpoint (Bdd.bor man reached fresh) fresh
-  in
-  let reached = fixpoint !init !init in
-  (* express over latch variables 0..nlatch-1 *)
-  let shifted = Bdd.rename man reached (fun v -> v - npi) in
   let cover_of f =
     try Bdd.to_cover ~max_cubes:20_000 man ~nvars:nlatch f
     with Bdd.Cover_too_large ->
       raise (Too_large "reachable-set cover explosion")
   in
-  let reachable = cover_of shifted in
-  let unreachable = cover_of (Bdd.bnot man shifted) in
   { latch_order = latches;
-    reachable;
-    unreachable;
-    num_reachable = Bdd.sat_count man ~nvars:nlatch shifted }
+    reachable = cover_of reached;
+    unreachable = cover_of (Bdd.bnot man reached);
+    num_reachable = Bdd.sat_count man ~nvars:nlatch reached }
 
 let simplify_with_unreachable ?(max_latches = 24) ?(max_leaves = 14) net =
   match unreachable_states ~max_latches net with

@@ -6,6 +6,7 @@
     {!Too_large} beyond it, letting flows fall back gracefully. *)
 
 exception Too_large of string
+(** The engine's exception, [Sim.Symbolic.Too_large]. *)
 
 type result = {
   latch_order : Netlist.Network.node list;  (** variable order used *)

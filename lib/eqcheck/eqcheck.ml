@@ -1,8 +1,5 @@
 module N = Netlist.Network
-
-(* Internal: a BDD build or fixpoint outgrew the node budget; callers fall
-   back to SAT (combinational) or report Unknown (sequential). *)
-exception Budget of string
+module Sym = Sim.Symbolic
 
 type options = {
   max_state_bits : int;
@@ -122,61 +119,6 @@ type memo = cone_memo option ref
 
 let memo () : memo = ref None
 
-(* Node BDDs for every combinational value of [net], leaves resolved through
-   [var_of_name]; raises [Budget] once [budget_man]'s charge passes the node
-   cap ([budget_man] is the whole check's cumulative scope, so the cap trips
-   exactly as it did when every check rebuilt from scratch). *)
-let build_values man ~budget_man ~max_bdd_nodes net var_of_name =
-  let values = Hashtbl.create 256 in
-  List.iter
-    (fun p -> Hashtbl.add values p.N.id (Bdd.var man (var_of_name p.N.name)))
-    (N.inputs net);
-  List.iter
-    (fun l -> Hashtbl.add values l.N.id (Bdd.var man (var_of_name l.N.name)))
-    (N.latches net);
-  List.iter
-    (fun n ->
-      match n.N.kind with
-      | N.Const b ->
-        Hashtbl.add values n.N.id (if b then Bdd.btrue else Bdd.bfalse)
-      | N.Input | N.Latch _ | N.Logic _ -> ())
-    (N.all_nodes net);
-  List.iter
-    (fun n ->
-      let fanins = Array.map (fun f -> Hashtbl.find values f) n.N.fanins in
-      let cover = N.cover_of n in
-      let cube_bdd cube =
-        let acc = ref Bdd.btrue in
-        Logic.Cube.iteri
-          (fun i l ->
-            match l with
-            | Logic.Cube.One -> acc := Bdd.band man !acc fanins.(i)
-            | Logic.Cube.Zero ->
-              acc := Bdd.band man !acc (Bdd.bnot man fanins.(i))
-            | Logic.Cube.Both -> ())
-          cube;
-        !acc
-      in
-      let v =
-        List.fold_left
-          (fun acc c -> Bdd.bor man acc (cube_bdd c))
-          Bdd.bfalse cover.Logic.Cover.cubes
-      in
-      Hashtbl.add values n.N.id v;
-      if Bdd.node_count budget_man > max_bdd_nodes then
-        raise (Budget "bdd node budget exhausted building cone functions"))
-    (N.topo_combinational net);
-  values
-
-(* Total assignment over [vars] extending a satisfying path of [f] (every
-   completion of an [any_sat] partial assignment satisfies [f]). *)
-let full_assign man f vars =
-  let partial = Bdd.any_sat man f in
-  List.map
-    (fun v ->
-      (v, match List.assoc_opt v partial with Some b -> b | None -> false))
-    vars
-
 (* --- combinational equivalence modulo DC_ret --------------------------------- *)
 
 let make_comb_cex pre post leaves assign =
@@ -215,7 +157,8 @@ let comb_check_bdd ~options ~pairs ?memo pre post leaves =
      tests against *)
   let build net =
     let scope = Bdd.sub_scope man in
-    (build_values scope ~budget_man:man ~max_bdd_nodes net var_of_name, scope)
+    let leaf n = Bdd.var scope (var_of_name n.N.name) in
+    (Sym.build ~budget:(man, max_bdd_nodes) scope net ~leaf, scope)
   in
   let values_pre =
     match memo with
@@ -275,78 +218,15 @@ let comb_check_bdd ~options ~pairs ?memo pre post leaves =
           let fb = Hashtbl.find values_post idb in
           let d = Bdd.band man (Bdd.bxor man fa fb) care in
           if Bdd.node_count man > max_bdd_nodes then
-            raise (Budget "bdd node budget exhausted on the miter");
+            raise (Sym.Too_large "bdd node budget exhausted on the miter");
           if Bdd.is_false d then None else Some d)
       (endpoints pre)
   in
   match diff with
   | None -> `Proved
   | Some d ->
-    let witness = full_assign man d (List.init (List.length leaves) Fun.id) in
-    let assign name =
-      match List.assoc_opt (var_of_name name) witness with
-      | Some b -> b
-      | None -> false
-    in
-    `Diff assign
-
-(* Tseitin encoding with one persistent memo per network, so shared cones are
-   encoded once per check instead of once per endpoint. *)
-let tseitin_encoder solver net ~leaf_var =
-  let memo = Hashtbl.create 256 in
-  let rec go id =
-    match Hashtbl.find_opt memo id with
-    | Some v -> v
-    | None ->
-      let n = N.node net id in
-      let v =
-        match n.N.kind with
-        | N.Input | N.Latch _ -> leaf_var n.N.name
-        | N.Const b ->
-          let v = Sat_lite.new_var solver in
-          Sat_lite.add_clause solver [ (if b then v + 1 else -(v + 1)) ];
-          v
-        | N.Logic cover ->
-          let fanin_vars = Array.map go n.N.fanins in
-          let out = Sat_lite.new_var solver in
-          let cube_vars =
-            List.map
-              (fun cube ->
-                let cv = Sat_lite.new_var solver in
-                Logic.Cube.iteri
-                  (fun i l ->
-                    let fv = fanin_vars.(i) in
-                    match l with
-                    | Logic.Cube.One ->
-                      Sat_lite.add_clause solver [ -(cv + 1); fv + 1 ]
-                    | Logic.Cube.Zero ->
-                      Sat_lite.add_clause solver [ -(cv + 1); -(fv + 1) ]
-                    | Logic.Cube.Both -> ())
-                  cube;
-                let body = ref [] in
-                Logic.Cube.iteri
-                  (fun i l ->
-                    let fv = fanin_vars.(i) in
-                    match l with
-                    | Logic.Cube.One -> body := -(fv + 1) :: !body
-                    | Logic.Cube.Zero -> body := fv + 1 :: !body
-                    | Logic.Cube.Both -> ())
-                  cube;
-                Sat_lite.add_clause solver ((cv + 1) :: List.rev !body);
-                cv)
-              cover.Logic.Cover.cubes
-          in
-          List.iter
-            (fun cv -> Sat_lite.add_clause solver [ -(cv + 1); out + 1 ])
-            cube_vars;
-          Sat_lite.add_clause solver
-            (-(out + 1) :: List.map (fun cv -> cv + 1) cube_vars);
-          out
-      in
-      Hashtbl.add memo id v;
-      v
-  in
-  go
+    let witness = Sym.assignment man d ~nvars:(List.length leaves) in
+    `Diff (fun name -> witness.(var_of_name name))
 
 let comb_check_sat ~options ~pairs pre post =
   let solver = Sat_lite.create () in
@@ -359,8 +239,10 @@ let comb_check_sat ~options ~pairs pre post =
       Hashtbl.add leaf_vars name v;
       v
   in
-  let enc_pre = tseitin_encoder solver pre ~leaf_var:var_of_name in
-  let enc_post = tseitin_encoder solver post ~leaf_var:var_of_name in
+  (* one encoder per network, so shared cones are encoded once per check *)
+  let leaf_var n = var_of_name n.N.name in
+  let enc_pre = Sim.Equiv.node_cnf solver pre ~leaf_var in
+  let enc_post = Sim.Equiv.node_cnf solver post ~leaf_var in
   (* DC_ret as satisfiability don't-cares: restrict the search to care states
      by asserting the class members equal *)
   List.iter
@@ -419,7 +301,7 @@ let comb_check ?(options = default_options) ?(classes = []) ?memo pre post =
       in
       match comb_check_bdd ~options ~pairs ?memo pre post leaves with
       | r -> finish r
-      | exception Budget _ ->
+      | exception Sym.Too_large _ ->
         Obs.Metrics.incr m_cap_bdd_nodes;
         finish (comb_check_sat ~options ~pairs pre post)
     end
@@ -427,269 +309,70 @@ let comb_check ?(options = default_options) ?(classes = []) ?memo pre post =
 
 (* --- sequential equivalence with counterexample traces ------------------------ *)
 
-(* Latches that can influence some primary output: the transitive fanin of the
-   output drivers, crossing latches through their data pins (fixpoint).  A
-   latch outside this set never reaches an output in any number of cycles, so
-   the product machine can drop it without changing the verdict. *)
-let observable_latch_ids net =
-  let seen = Hashtbl.create 256 in
-  let obs = Hashtbl.create 64 in
-  let rec walk id =
-    if not (Hashtbl.mem seen id) then begin
-      Hashtbl.replace seen id ();
-      let n = N.node net id in
-      match n.N.kind with
-      | N.Input | N.Const _ -> ()
-      | N.Logic _ -> Array.iter walk n.N.fanins
-      | N.Latch _ ->
-        Hashtbl.replace obs n.N.id ();
-        walk (N.latch_data net n).N.id
-    end
-  in
-  List.iter (fun (_, n) -> walk n.N.id) (N.outputs net);
-  obs
-
-(* Variable layout (as [Sim.Equiv.seq_equal_bdd]): shared primary inputs by
-   sorted name, then present state of [pre], then of [post]; next-state
-   variables follow, shifted by the total latch count. *)
+(* The product machine keeps only output-observable registers
+   ([Sim.Symbolic.product]); the state-bit cap applies to those, so latches
+   outside every output cone cannot push a check past it. *)
 let seq_check ?(options = default_options) pre post =
-  let pi_names =
-    List.sort compare (List.map (fun n -> n.N.name) (N.inputs pre))
-  in
-  let pi_names_b =
-    List.sort compare (List.map (fun n -> n.N.name) (N.inputs post))
-  in
-  let po_names net = List.sort compare (List.map fst (N.outputs net)) in
-  if pi_names <> pi_names_b then Unknown "primary-input name mismatch"
-  else if po_names pre <> po_names post then
-    Unknown "primary-output name mismatch"
-  else begin
-    let all_latches_a = N.latches pre and all_latches_b = N.latches post in
-    (* shrink the product machine to output-observable registers before the
-       state-bit cap; latches outside every output cone cannot change the
-       verdict, and dropping them rescues checks the full register count
-       would push past the cap *)
-    let obs_a = observable_latch_ids pre
-    and obs_b = observable_latch_ids post in
-    let latches_a =
-      List.filter (fun l -> Hashtbl.mem obs_a l.N.id) all_latches_a
-    and latches_b =
-      List.filter (fun l -> Hashtbl.mem obs_b l.N.id) all_latches_b
+  match Sym.interface_mismatch pre post with
+  | Some why -> Unknown why
+  | None ->
+    let bits =
+      List.length (Sym.observable_latches pre)
+      + List.length (Sym.observable_latches post)
     in
-    let n1 = List.length latches_a and n2 = List.length latches_b in
-    let full_bits =
-      List.length all_latches_a + List.length all_latches_b
-    in
-    if n1 + n2 > options.max_product_bits then begin
+    if bits > options.max_product_bits then begin
       Obs.Metrics.incr m_cap_product_bits;
       Unknown
-        (Printf.sprintf "state-bit cap: %d product bits > %d" (n1 + n2)
+        (Printf.sprintf "state-bit cap: %d product bits > %d" bits
            options.max_product_bits)
     end
     else begin
-      if full_bits > options.max_product_bits then
-        Obs.Metrics.incr m_cone_rescued;
+      if N.num_latches pre + N.num_latches post > options.max_product_bits
+      then Obs.Metrics.incr m_cone_rescued;
       try
-        let npi = List.length pi_names in
-        let man = Bdd.create () in
-        let budget () =
-          if Bdd.node_count man > options.max_bdd_nodes then
-            raise (Budget "bdd node budget exhausted")
+        let machine, differ =
+          Sym.product ~max_nodes:options.max_bdd_nodes pre post
         in
-        let pi_idx = Hashtbl.create 16 in
-        List.iteri (fun i name -> Hashtbl.add pi_idx name i) pi_names;
-        let ps_var_a = Hashtbl.create 16 and ps_var_b = Hashtbl.create 16 in
-        List.iteri
-          (fun j l -> Hashtbl.add ps_var_a l.N.id (npi + j))
-          latches_a;
-        List.iteri
-          (fun j l -> Hashtbl.add ps_var_b l.N.id (npi + n1 + j))
-          latches_b;
-        let ns_base = npi + n1 + n2 in
-        let build net ps_var latches =
-          (* combinational nodes feeding an output or a relevant next-state
-             function; cones of dropped latches are never built (their latch
-             leaves have no product variable anyway) *)
-          let need = Hashtbl.create 256 in
-          let rec mark id =
-            if not (Hashtbl.mem need id) then begin
-              Hashtbl.replace need id ();
-              match (N.node net id).N.kind with
-              | N.Logic _ -> Array.iter mark (N.node net id).N.fanins
-              | N.Input | N.Const _ | N.Latch _ -> ()
-            end
-          in
-          List.iter (fun (_, n) -> mark n.N.id) (N.outputs net);
-          List.iter (fun l -> mark (N.latch_data net l).N.id) latches;
-          let values = Hashtbl.create 256 in
-          List.iter
-            (fun n ->
-              Hashtbl.add values n.N.id
-                (Bdd.var man (Hashtbl.find pi_idx n.N.name)))
-            (N.inputs net);
-          List.iter
-            (fun l ->
-              Hashtbl.add values l.N.id
-                (Bdd.var man (Hashtbl.find ps_var l.N.id)))
-            latches;
-          List.iter
-            (fun n ->
-              match n.N.kind with
-              | N.Const v ->
-                Hashtbl.add values n.N.id (if v then Bdd.btrue else Bdd.bfalse)
-              | N.Input | N.Latch _ | N.Logic _ -> ())
-            (N.all_nodes net);
-          List.iter
-            (fun n ->
-              if Hashtbl.mem need n.N.id then begin
-                let fanins =
-                  Array.map (fun f -> Hashtbl.find values f) n.N.fanins
-                in
-                let cover = N.cover_of n in
-                let cube_bdd cube =
-                  let acc = ref Bdd.btrue in
-                  Logic.Cube.iteri
-                    (fun i l ->
-                      match l with
-                      | Logic.Cube.One -> acc := Bdd.band man !acc fanins.(i)
-                      | Logic.Cube.Zero ->
-                        acc := Bdd.band man !acc (Bdd.bnot man fanins.(i))
-                      | Logic.Cube.Both -> ())
-                    cube;
-                  !acc
-                in
-                let v =
-                  List.fold_left
-                    (fun acc c -> Bdd.bor man acc (cube_bdd c))
-                    Bdd.bfalse cover.Logic.Cover.cubes
-                in
-                Hashtbl.add values n.N.id v;
-                budget ()
-              end)
-            (N.topo_combinational net);
-          values
-        in
-        let values_a = build pre ps_var_a latches_a in
-        let values_b = build post ps_var_b latches_b in
-        let transition = ref Bdd.btrue in
-        let add_latch values ps_var l net =
-          let ns_var = ns_base + Hashtbl.find ps_var l.N.id - npi in
-          let f = Hashtbl.find values (N.latch_data net l).N.id in
-          transition :=
-            Bdd.band man !transition (Bdd.bxnor man (Bdd.var man ns_var) f);
-          budget ()
-        in
-        List.iter (fun l -> add_latch values_a ps_var_a l pre) latches_a;
-        List.iter (fun l -> add_latch values_b ps_var_b l post) latches_b;
-        let init = ref Bdd.btrue in
-        let add_init ps_var l =
-          let v = Bdd.var man (Hashtbl.find ps_var l.N.id) in
-          match N.latch_init l with
-          | N.I0 -> init := Bdd.band man !init (Bdd.bnot man v)
-          | N.I1 -> init := Bdd.band man !init v
-          | N.Ix -> ()
-        in
-        List.iter (add_init ps_var_a) latches_a;
-        List.iter (add_init ps_var_b) latches_b;
-        let outputs_equal = ref Bdd.btrue in
-        List.iter
-          (fun (name, na) ->
-            let nb = List.assoc name (N.outputs post) in
-            let va = Hashtbl.find values_a na.N.id in
-            let vb = Hashtbl.find values_b nb.N.id in
-            outputs_equal := Bdd.band man !outputs_equal (Bdd.bxnor man va vb))
-          (N.outputs pre);
-        let pi_vars = List.init npi Fun.id in
-        let ps_vars = List.init (n1 + n2) (fun j -> npi + j) in
-        let image r =
-          let after = Bdd.and_exists man (pi_vars @ ps_vars) !transition r in
-          Bdd.rename man after (fun v -> v - n1 - n2)
-        in
-        (* rings, oldest first: rings.(i) is the frontier reached in exactly
-           [i] steps (minus earlier states) — the breadcrumbs for trace
-           extraction *)
-        let rec fixpoint reached frontier rings =
-          budget ();
-          let bad = Bdd.band man frontier (Bdd.bnot man !outputs_equal) in
-          if not (Bdd.is_false bad) then `Bad (bad, List.rev rings)
-          else begin
-            let next = image frontier in
-            let fresh = Bdd.band man next (Bdd.bnot man reached) in
-            if Bdd.is_false fresh then `Proved
-            else fixpoint (Bdd.bor man reached fresh) fresh (fresh :: rings)
-          end
-        in
-        match fixpoint !init !init [ !init ] with
-        | `Proved -> Proved
-        | `Bad (bad, rings) ->
-          let k = List.length rings - 1 in
-          let w = full_assign man bad (pi_vars @ ps_vars) in
-          let value_in asn v = List.assoc v asn in
-          let pi_vector asn =
-            List.mapi (fun i name -> (name, value_in asn i)) pi_names
-          in
-          (* walk the rings backwards: at step i pick a predecessor state in
-             ring i-1 and an input that maps it onto the witness state *)
-          let rec backwards i s_i inputs =
-            if i = 0 then (inputs, s_i)
-            else begin
-              let ring = List.nth rings (i - 1) in
-              let ns_cube =
-                List.fold_left
-                  (fun acc v ->
-                    let nsv = Bdd.var man (ns_base + (v - npi)) in
-                    let lit =
-                      if value_in s_i v then nsv else Bdd.bnot man nsv
-                    in
-                    Bdd.band man acc lit)
-                  Bdd.btrue ps_vars
-              in
-              let pred = Bdd.band man (Bdd.band man !transition ns_cube) ring in
-              let asn = full_assign man pred (pi_vars @ ps_vars) in
-              let s_prev = List.filter (fun (v, _) -> v >= npi) asn in
-              budget ();
-              backwards (i - 1) s_prev (pi_vector asn :: inputs)
-            end
-          in
-          let s_k = List.filter (fun (v, _) -> v >= npi) w in
-          let inputs, s_0 = backwards k s_k [] in
-          let trace = inputs @ [ pi_vector w ] in
+        match Sym.reach ~bad:differ machine with
+        | Sym.Closed _ -> Proved
+        | Sym.Hit { bad; rings } ->
+          let tr = Sym.trace machine ~bad rings in
+          let last_input = Sym.input_vector machine tr.Sym.witness in
+          let trace = tr.Sym.inputs @ [ last_input ] in
           (* diverging endpoint at the witness cycle, from the product BDDs *)
-          let assign_fun v =
-            match List.assoc_opt v w with Some b -> b | None -> false
+          let differs (name, na) =
+            let nb = List.assoc name (N.outputs post) in
+            let eval part id =
+              Bdd.eval (Sym.man machine) (Sym.value machine ~part id) (fun v ->
+                  tr.Sym.witness.(v))
+            in
+            eval 0 na.N.id <> eval 1 nb.N.id
           in
           let endpoint =
-            match
-              List.find_opt
-                (fun (name, na) ->
-                  let nb = List.assoc name (N.outputs post) in
-                  Bdd.eval man (Hashtbl.find values_a na.N.id) assign_fun
-                  <> Bdd.eval man (Hashtbl.find values_b nb.N.id) assign_fun)
-                (N.outputs pre)
-            with
+            match List.find_opt differs (N.outputs pre) with
             | Some (name, _) -> name
             | None -> "(none)"
           in
           (* replay states are total over ALL latches: registers dropped from
              the product machine cannot influence outputs, so their declared
              initial value (Ix resolved to 0) is as good as any *)
-          let init_value_of l ps_var =
-            match Hashtbl.find_opt ps_var l.N.id with
-            | Some v -> value_in s_0 v
+          let init_value part l =
+            match Sym.state_var machine ~part l with
+            | Some v -> tr.Sym.start.(v)
             | None ->
               (match N.latch_init l with N.I1 -> true | N.I0 | N.Ix -> false)
           in
-          let state_of latches ps_var =
-            List.map (fun l -> (l.N.id, init_value_of l ps_var)) latches
+          let state_of part net =
+            List.map (fun l -> (l.N.id, init_value part l)) (N.latches net)
           in
-          let named_init latches ps_var =
-            List.map (fun l -> (l.N.name, init_value_of l ps_var)) latches
+          let named_init part net =
+            List.map (fun l -> (l.N.name, init_value part l)) (N.latches net)
           in
           (* simulation confirmation (the cex-quality contract): replay the
              trace on both netlists from the extracted initial states and
              demand an actual output divergence *)
-          let sa = ref (state_of all_latches_a ps_var_a) in
-          let sb = ref (state_of all_latches_b ps_var_b) in
+          let sa = ref (state_of 0 pre) in
+          let sb = ref (state_of 1 post) in
           let confirmed = ref None in
           List.iter
             (fun vector ->
@@ -712,9 +395,9 @@ let seq_check ?(options = default_options) pre post =
            | Some name ->
              Refuted
                { endpoint = name;
-                 leaves = pi_vector w;
-                 init_pre = named_init all_latches_a ps_var_a;
-                 init_post = named_init all_latches_b ps_var_b;
+                 leaves = last_input;
+                 init_pre = named_init 0 pre;
+                 init_post = named_init 1 post;
                  trace;
                  sim_confirmed = true }
            | None ->
@@ -725,11 +408,10 @@ let seq_check ?(options = default_options) pre post =
                   "unconfirmed counterexample for %s (replay of %d cycle(s) \
                    did not diverge)"
                   endpoint (List.length trace)))
-      with Budget msg ->
+      with Sym.Too_large msg ->
         Obs.Metrics.incr m_cap_bdd_nodes;
         Unknown msg
     end
-  end
 
 (* --- DC_ret invariant: bounded reachability ----------------------------------- *)
 
@@ -762,188 +444,48 @@ let dcret_check ?(options = default_options) net classes =
     end
     else begin
       try
-        let pis = N.inputs net in
-        let npi = List.length pis in
-        let man = Bdd.create () in
-        let budget () =
-          if Bdd.node_count man > options.max_bdd_nodes then
-            raise (Budget "bdd node budget exhausted")
+        let machine =
+          Sym.create ~max_nodes:options.max_bdd_nodes [ (net, latches) ]
         in
-        let ps_var = Hashtbl.create 16 in
-        List.iteri (fun j l -> Hashtbl.add ps_var l.N.id (npi + j)) latches;
-        let pi_names = List.map (fun p -> p.N.name) pis in
-        let pi_idx = Hashtbl.create 16 in
-        List.iteri (fun i name -> Hashtbl.add pi_idx name i) pi_names;
-        let var_of_name name =
-          match Hashtbl.find_opt pi_idx name with
-          | Some i -> i
-          | None ->
-            (* latch leaves resolve through ps_var below; inputs only here *)
-            invalid_arg "dcret_check: unknown leaf"
-        in
-        let values = Hashtbl.create 256 in
-        List.iter
-          (fun p ->
-            Hashtbl.add values p.N.id (Bdd.var man (var_of_name p.N.name)))
-          pis;
-        List.iter
-          (fun l ->
-            Hashtbl.add values l.N.id
-              (Bdd.var man (Hashtbl.find ps_var l.N.id)))
-          latches;
-        List.iter
-          (fun n ->
-            match n.N.kind with
-            | N.Const b ->
-              Hashtbl.add values n.N.id (if b then Bdd.btrue else Bdd.bfalse)
-            | N.Input | N.Latch _ | N.Logic _ -> ())
-          (N.all_nodes net);
-        List.iter
-          (fun n ->
-            let fanins =
-              Array.map (fun f -> Hashtbl.find values f) n.N.fanins
-            in
-            let cover = N.cover_of n in
-            let cube_bdd cube =
-              let acc = ref Bdd.btrue in
-              Logic.Cube.iteri
-                (fun i l ->
-                  match l with
-                  | Logic.Cube.One -> acc := Bdd.band man !acc fanins.(i)
-                  | Logic.Cube.Zero ->
-                    acc := Bdd.band man !acc (Bdd.bnot man fanins.(i))
-                  | Logic.Cube.Both -> ())
-                cube;
-              !acc
-            in
-            let v =
-              List.fold_left
-                (fun acc c -> Bdd.bor man acc (cube_bdd c))
-                Bdd.bfalse cover.Logic.Cover.cubes
-            in
-            Hashtbl.add values n.N.id v;
-            budget ())
-          (N.topo_combinational net);
-        let ns_base = npi + nl in
-        let transition = ref Bdd.btrue in
-        List.iteri
-          (fun j l ->
-            let f = Hashtbl.find values (N.latch_data net l).N.id in
-            transition :=
-              Bdd.band man !transition
-                (Bdd.bxnor man (Bdd.var man (ns_base + j)) f);
-            budget ())
-          latches;
+        let man = Sym.man machine in
+        let var l = Option.get (Sym.state_var machine ~part:0 l) in
+        let pair_bdd op (a, b) = op man (Bdd.var man (var a)) (Bdd.var man (var b)) in
         (* initial states: declared values; replicated copies of one register
            share its (possibly unknown) initial value, so class members are
            constrained pairwise equal even when the declared init is Ix *)
-        let init = ref Bdd.btrue in
-        List.iter
-          (fun l ->
-            let v = Bdd.var man (Hashtbl.find ps_var l.N.id) in
-            match N.latch_init l with
-            | N.I0 -> init := Bdd.band man !init (Bdd.bnot man v)
-            | N.I1 -> init := Bdd.band man !init v
-            | N.Ix -> ())
-          latches;
-        let pair_vars =
-          List.map
-            (fun (a, b) ->
-              ( (a.N.name, Hashtbl.find ps_var a.N.id),
-                (b.N.name, Hashtbl.find ps_var b.N.id) ))
-            live_pairs
-        in
-        List.iter
-          (fun ((_, va), (_, vb)) ->
-            init :=
-              Bdd.band man !init
-                (Bdd.bxnor man (Bdd.var man va) (Bdd.var man vb)))
-          pair_vars;
-        let bad =
+        let from =
           List.fold_left
-            (fun acc ((_, va), (_, vb)) ->
-              Bdd.bor man acc
-                (Bdd.bxor man (Bdd.var man va) (Bdd.var man vb)))
-            Bdd.bfalse pair_vars
+            (fun acc p -> Bdd.band man acc (pair_bdd Bdd.bxnor p))
+            (Sym.init machine) live_pairs
         in
-        let pi_vars = List.init npi Fun.id in
-        let ps_vars = List.init nl (fun j -> npi + j) in
-        let image r =
-          let after = Bdd.and_exists man (pi_vars @ ps_vars) !transition r in
-          Bdd.rename man after (fun v -> v - nl)
+        let split =
+          List.fold_left
+            (fun acc p -> Bdd.bor man acc (pair_bdd Bdd.bxor p))
+            Bdd.bfalse live_pairs
         in
-        let rec fixpoint reached frontier rings =
-          budget ();
-          let viol = Bdd.band man frontier bad in
-          if not (Bdd.is_false viol) then `Bad (viol, List.rev rings)
-          else begin
-            let next = image frontier in
-            let fresh = Bdd.band man next (Bdd.bnot man reached) in
-            if Bdd.is_false fresh then `Proved
-            else fixpoint (Bdd.bor man reached fresh) fresh (fresh :: rings)
-          end
-        in
-        match fixpoint !init !init [ !init ] with
-        | `Proved -> Proved
-        | `Bad (viol, rings) ->
-          let k = List.length rings - 1 in
-          let s_k = full_assign man viol ps_vars in
-          let value_in asn v = List.assoc v asn in
-          let pi_vector asn =
-            List.mapi (fun i name -> (name, value_in asn i)) pi_names
-          in
-          let rec backwards i s_i inputs =
-            if i = 0 then (inputs, s_i)
-            else begin
-              let ring = List.nth rings (i - 1) in
-              let ns_cube =
-                List.fold_left
-                  (fun acc v ->
-                    let nsv = Bdd.var man (ns_base + (v - npi)) in
-                    let lit =
-                      if value_in s_i v then nsv else Bdd.bnot man nsv
-                    in
-                    Bdd.band man acc lit)
-                  Bdd.btrue ps_vars
-              in
-              let pred = Bdd.band man (Bdd.band man !transition ns_cube) ring in
-              let asn = full_assign man pred (pi_vars @ ps_vars) in
-              let s_prev = List.filter (fun (v, _) -> v >= npi) asn in
-              budget ();
-              backwards (i - 1) s_prev (pi_vector asn :: inputs)
-            end
-          in
-          let trace, s_0 = backwards k s_k [] in
-          let violating_pair =
-            List.find_opt
-              (fun ((_, va), (_, vb)) ->
-                value_in s_k va <> value_in s_k vb)
-              pair_vars
-          in
+        match Sym.reach ~bad:split ~from machine with
+        | Sym.Closed _ -> Proved
+        | Sym.Hit { bad; rings } ->
+          let tr = Sym.trace machine ~bad rings in
+          let s_0 = tr.Sym.start and s_k = tr.Sym.witness in
+          let trace = tr.Sym.inputs in
           let endpoint =
-            match violating_pair with
-            | Some ((na, _), (nb, _)) ->
-              Printf.sprintf "dcret:%s<>%s" na nb
+            match
+              List.find_opt (fun (a, b) -> s_k.(var a) <> s_k.(var b)) live_pairs
+            with
+            | Some (a, b) -> Printf.sprintf "dcret:%s<>%s" a.N.name b.N.name
             | None -> "dcret:(none)"
           in
-          let named_state asn =
-            List.map
-              (fun l -> (l.N.name, value_in asn (Hashtbl.find ps_var l.N.id)))
-              latches
-          in
+          let named_state s = List.map (fun l -> (l.N.name, s.(var l))) latches in
           (* replay: drive the netlist through the trace and demand the two
              class members really disagree at the violation cycle *)
-          let state0 =
-            List.map
-              (fun l -> (l.N.id, value_in s_0 (Hashtbl.find ps_var l.N.id)))
-              latches
-          in
           let final_state =
             List.fold_left
               (fun state vector ->
                 let pi name = List.assoc name vector in
                 fst (Sim.Simulate.step net ~pi ~state))
-              state0 trace
+              (List.map (fun l -> (l.N.id, s_0.(var l))) latches)
+              trace
           in
           let confirmed =
             List.exists
@@ -959,7 +501,8 @@ let dcret_check ?(options = default_options) net classes =
           if confirmed then
             Refuted
               { endpoint;
-                leaves = (match trace with [] -> [] | _ -> List.nth trace (k - 1));
+                leaves =
+                  (match List.rev trace with [] -> [] | last :: _ -> last);
                 init_pre = named_state s_0;
                 init_post = named_state s_k;
                 trace;
@@ -970,7 +513,7 @@ let dcret_check ?(options = default_options) net classes =
                  "unconfirmed class violation %s (replay of %d cycle(s) did \
                   not diverge)"
                  endpoint (List.length trace))
-      with Budget msg ->
+      with Sym.Too_large msg ->
         Obs.Metrics.incr m_cap_bdd_nodes;
         Unknown msg
     end

@@ -32,8 +32,8 @@ type options = {
   max_state_bits : int;
       (** latch cap for {!dcret_check} reachability; beyond it: Unknown *)
   max_product_bits : int;
-      (** total latch cap (both machines) for {!seq_check}; beyond it:
-          Unknown *)
+      (** cap on the output-observable latches of both machines for
+          {!seq_check}; beyond it: Unknown *)
   max_comb_leaves : int;
       (** shared-leaf cap for {!comb_check}; beyond it: Unknown *)
   max_bdd_nodes : int;

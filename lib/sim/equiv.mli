@@ -6,6 +6,7 @@
     declared initial states. *)
 
 exception Too_large of string
+(** The engine's exception, {!Symbolic.Too_large}. *)
 
 val leaf_names : Netlist.Network.t -> string list
 (** Sorted names of the combinational leaves: primary inputs and latch
@@ -27,26 +28,29 @@ val comb_equal_sat : ?conflict_limit:int -> Netlist.Network.t -> Netlist.Network
 (** Miter + SAT.  Raises {!Too_large} when the budget runs out. *)
 
 val node_cnf :
-  Sat_lite.t -> Netlist.Network.t -> leaf_var:(int -> int) -> int -> int
-(** Tseitin-encode the combinational cone of a node.  [leaf_var] supplies the
-    0-based SAT variable for each leaf (input/latch/const) node id; returns
-    the SAT variable of the root.  Exposed for tests and other SAT users. *)
+  Sat_lite.t ->
+  Netlist.Network.t ->
+  leaf_var:(Netlist.Network.node -> int) ->
+  int ->
+  int
+(** Tseitin encoder for combinational cones: [node_cnf solver net ~leaf_var]
+    maps a node id to the 0-based SAT variable of its function, [leaf_var]
+    supplying the variable of each input and latch leaf.  The encoder
+    memoises within one partial application, so cones shared between roots
+    encoded through it are encoded once. *)
 
 val seq_equal_bdd :
   ?max_latches:int -> ?delay:int -> Netlist.Network.t -> Netlist.Network.t -> bool
 (** Product-machine reachability from the initial-state pair; verifies that
     every reachable state pair produces equal outputs under every input.
     X initial values range over both binary values.  Raises {!Too_large}
-    beyond [max_latches] (default 28) total latches.
+    beyond [max_latches] (default 28) total latches.  Only latches some
+    output observes enter the product machine ({!Symbolic.product}).
 
     [delay] (default 0) checks {e delayed replacement} in the sense of
     Singhal et al. [15], as used by the paper's Section II: outputs are
     unconstrained during the first [delay] cycles; from every state pair
     reachable in exactly [delay] steps onward the machines must agree. *)
-
-val seq_equal_delayed :
-  ?max_latches:int -> k:int -> Netlist.Network.t -> Netlist.Network.t -> bool
-(** [seq_equal_bdd ~delay:k]. *)
 
 val seq_equal_random :
   ?vectors:int -> ?length:int -> seed:int ->

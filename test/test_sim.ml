@@ -181,9 +181,9 @@ let test_delayed_replacement () =
   let z = build N.I0 and o = build N.I1 in
   Alcotest.(check bool) "not equivalent" false (Sim.Equiv.seq_equal_bdd z o);
   Alcotest.(check bool) "1-delayed equivalent" true
-    (Sim.Equiv.seq_equal_delayed ~k:1 z o);
+    (Sim.Equiv.seq_equal_bdd ~delay:1 z o);
   Alcotest.(check bool) "0-delay is plain equivalence" false
-    (Sim.Equiv.seq_equal_delayed ~k:0 z o)
+    (Sim.Equiv.seq_equal_bdd ~delay:0 z o)
 
 let test_delayed_replacement_stem_with_mixed_inits () =
   (* Splitting a fanout stem while giving the copies different initial
@@ -205,7 +205,7 @@ let test_delayed_replacement_stem_with_mixed_inits () =
   Alcotest.(check bool) "not equivalent with mixed inits" false
     (Sim.Equiv.seq_equal_bdd original split);
   Alcotest.(check bool) "but 1-delayed equivalent" true
-    (Sim.Equiv.seq_equal_delayed ~k:1 original split)
+    (Sim.Equiv.seq_equal_bdd ~delay:1 original split)
 
 let test_comb_equal_sat_agrees () =
   let ok = ref true in

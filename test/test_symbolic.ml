@@ -310,6 +310,81 @@ let prop_split_classes_proved =
           end)
         (N.latches net))
 
+(* --- failure paths ------------------------------------------------------------------ *)
+
+(* [n] latches in a chain from input [a] to output [o]; [invert] negates the
+   output. *)
+let shift_register ?(invert = false) n =
+  let net = N.create ~name:"shift" () in
+  let a = N.add_input net "a" in
+  let rec chain k prev =
+    if k = n then prev
+    else chain (k + 1) (N.add_latch net ~name:(Printf.sprintf "r%d" k) N.I0 prev)
+  in
+  let last = chain 0 a in
+  let cover = Logic.Cover.of_strings 1 [ (if invert then "0" else "1") ] in
+  N.set_output net "o" (N.add_logic net ~name:"out" cover [ last ]);
+  net
+
+let test_reach_budget () =
+  let net = shift_register 4 in
+  (match Dontcare.Reach.unreachable_states ~max_bdd_nodes:3 net with
+   | exception Sim.Symbolic.Too_large _ -> ()
+   | _ -> Alcotest.fail "expected Too_large from the node budget");
+  (* one exception for every client *)
+  (match Dontcare.Reach.unreachable_states ~max_latches:2 net with
+   | exception Sim.Equiv.Too_large _ -> ()
+   | _ -> Alcotest.fail "expected Too_large from the latch cap");
+  let rev = N.revision net in
+  Alcotest.(check int) "nothing simplified past the cap" 0
+    (Dontcare.Reach.simplify_with_unreachable ~max_latches:2 net);
+  Alcotest.(check int) "network untouched" rev (N.revision net);
+  let comb = N.create () in
+  N.set_output comb "o" (N.add_input comb "a");
+  Alcotest.(check int) "no state space" 0
+    (Dontcare.Reach.simplify_with_unreachable comb)
+
+let test_seq_equal_falls_back () =
+  (* 2 x 15 latches exceed the 28-latch product cap *)
+  let a = shift_register 15 in
+  let good = N.copy a and bad = shift_register ~invert:true 15 in
+  (match Sim.Equiv.seq_equal_bdd a good with
+   | exception Sim.Symbolic.Too_large _ -> ()
+   | _ -> Alcotest.fail "expected Too_large past the latch cap");
+  let seed = 0xC0FFEE in
+  Alcotest.(check bool) "equal copy simulated equal" true
+    (Sim.Equiv.seq_equal a good);
+  Alcotest.(check bool) "inverted copy simulated different" false
+    (Sim.Equiv.seq_equal a bad);
+  Alcotest.(check bool) "verdicts are the co-simulation's"
+    (Sim.Equiv.seq_equal_random ~seed a bad)
+    (Sim.Equiv.seq_equal ~seed a bad)
+
+let test_eqcheck_budget () =
+  Obs.Metrics.enable ();
+  let cap = Obs.Metrics.counter "eqcheck.cap.bdd_nodes" in
+  let tiny = { E.default_options with E.max_bdd_nodes = 2 } in
+  let unknown_and_counted what v =
+    let before = Obs.Metrics.counter_value cap in
+    (match Lazy.force v with
+     | E.Unknown _ -> ()
+     | E.Proved | E.Refuted _ -> Alcotest.fail (what ^ ": expected Unknown"));
+    Alcotest.(check int) (what ^ " bumps the cap counter") (before + 1)
+      (Obs.Metrics.counter_value cap)
+  in
+  let a = shift_register 3 in
+  unknown_and_counted "seq_check"
+    (lazy (E.seq_check ~options:tiny a (shift_register ~invert:true 3)));
+  let net = shift_register 3 in
+  let r1 = List.nth (N.latches net) 1 and r2 = List.nth (N.latches net) 2 in
+  unknown_and_counted "dcret_check"
+    (lazy (E.dcret_check ~options:tiny net [ [ r1.N.id; r2.N.id ] ]));
+  (* with the default budget both verdicts are settled *)
+  Alcotest.(check string) "seq refuted" "refuted"
+    (E.verdict_name (E.seq_check a (shift_register ~invert:true 3)));
+  Alcotest.(check string) "class refuted" "refuted"
+    (E.verdict_name (E.dcret_check net [ [ r1.N.id; r2.N.id ] ]))
+
 let () =
   Alcotest.run "symbolic"
     [ ( "oracle",
@@ -318,4 +393,9 @@ let () =
             prop_seq_equal_bdd;
             prop_seq_check;
             prop_dcret;
-            prop_split_classes_proved ] ) ]
+            prop_split_classes_proved ] );
+      ( "budgets",
+        [ Alcotest.test_case "reach too large" `Quick test_reach_budget;
+          Alcotest.test_case "seq_equal falls back" `Quick
+            test_seq_equal_falls_back;
+          Alcotest.test_case "eqcheck unknown" `Quick test_eqcheck_budget ] ) ]

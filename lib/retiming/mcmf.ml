@@ -34,20 +34,16 @@ let add_edge t ~src ~dst ~capacity ~cost =
 
 let big = max_int / 4
 
-(* SPFA shortest path by cost over residual arcs; returns parent arcs.
-   [sources] seeds the queue; seeding every node emulates a virtual source
-   with 0-cost arcs to all nodes. *)
-let spfa t ~sources =
+(* SPFA shortest path by cost over residual arcs from [source]; returns
+   parent arcs. *)
+let spfa t ~source =
   let dist = Array.make t.n big in
   let parent = Array.make t.n (-1, -1) in
   let in_queue = Array.make t.n false in
   let queue = Queue.create () in
-  List.iter
-    (fun s ->
-      dist.(s) <- 0;
-      Queue.push s queue;
-      in_queue.(s) <- true)
-    sources;
+  dist.(source) <- 0;
+  Queue.push source queue;
+  in_queue.(source) <- true;
   while not (Queue.is_empty queue) do
     let u = Queue.pop queue in
     in_queue.(u) <- false;
@@ -69,7 +65,7 @@ let max_flow_min_cost t ~source ~sink =
   let flow = ref 0 and cost = ref 0 in
   let continue = ref true in
   while !continue do
-    let dist, parent = spfa t ~sources:[ source ] in
+    let dist, parent = spfa t ~source in
     if dist.(sink) >= big then continue := false
     else begin
       (* bottleneck along the path *)
@@ -98,6 +94,11 @@ let max_flow_min_cost t ~source ~sink =
   done;
   (!flow, !cost)
 
-let potentials t =
-  let dist, _ = spfa t ~sources:(List.init t.n Fun.id) in
-  dist
+let residual_constraints t f =
+  Array.iteri
+    (fun u arcs ->
+      for i = 0 to t.out_count.(u) - 1 do
+        let a = arcs.(i) in
+        if a.cap > 0 then f a.dst u a.cost
+      done)
+    t.arcs

@@ -1,8 +1,9 @@
 (** Minimum-cost flow by successive shortest augmenting paths (SPFA, so
     negative arc costs are fine as long as there is no negative cycle).
     Used by the exact min-register retiming: the LP dual of the
-    difference-constraint program is a transshipment problem, and the final
-    shortest-path labels are the optimal retiming labels. *)
+    difference-constraint program is a transshipment problem, and the
+    potentials of the final residual network are the optimal retiming
+    labels. *)
 
 type t
 
@@ -15,9 +16,9 @@ val max_flow_min_cost : t -> source:int -> sink:int -> int * int
 (** Pushes as much flow as possible from [source] to [sink] at minimum cost;
     returns [(flow, cost)]. *)
 
-val potentials : t -> int array
-(** Shortest-path labels by cost in the final residual network, computed
-    from a virtual all-nodes source (Bellman-Ford with all distances started
-    at 0), so every residual arc [u -> v] satisfies
-    [p.(v) <= p.(u) + cost].  Valid after {!max_flow_min_cost}; these are
-    optimal dual potentials of the underlying LP. *)
+val residual_constraints : t -> (int -> int -> int -> unit) -> unit
+(** [residual_constraints t f] calls [f v u cost] for every arc [u -> v]
+    with residual capacity: the difference constraints
+    [p(v) - p(u) <= cost] whose solutions, after {!max_flow_min_cost}, are
+    optimal dual potentials of the underlying LP (solve them with
+    {!Minperiod.Internal.solve}). *)

@@ -26,7 +26,7 @@ type graph = {
    combinational source: report [None] and let the caller treat the signal
    as coming from the environment — its registers cannot be moved by any
    retiming of logic vertices anyway. *)
-let chase net start count0 =
+let chase net start =
   let rec go node count seen =
     match node.N.kind with
     | N.Latch _ ->
@@ -34,21 +34,19 @@ let chase net start count0 =
       else go (N.latch_data net node) (count + 1) (node.N.id :: seen)
     | N.Input | N.Const _ | N.Logic _ -> (Some node, count)
   in
-  go start count0 []
+  go start 0 []
 
 let build_graph net model =
   let logic = N.logic_nodes net in
   let nv = List.length logic + 1 in
   let vertex_of_node = Hashtbl.create 64 in
   let node_of_vertex = Array.make nv (-1) in
+  let delay = Array.make nv 0.0 in
   List.iteri
     (fun i n ->
       Hashtbl.add vertex_of_node n.N.id (i + 1);
-      node_of_vertex.(i + 1) <- n.N.id)
-    logic;
-  let delay = Array.make nv 0.0 in
-  List.iter
-    (fun n -> delay.(Hashtbl.find vertex_of_node n.N.id) <- model n)
+      node_of_vertex.(i + 1) <- n.N.id;
+      delay.(i + 1) <- model n)
     logic;
   let edges = ref [] in
   let vertex_of net_node =
@@ -57,21 +55,19 @@ let build_graph net model =
     | N.Input | N.Const _ -> 0
     | N.Latch _ -> assert false
   in
-  List.iter
-    (fun v ->
+  List.iteri
+    (fun i v ->
       Array.iter
         (fun fid ->
-          let source, w = chase net (N.node net fid) 0 in
-          let u =
-            match source with Some s -> vertex_of s | None -> 0
-          in
-          edges := (u, Hashtbl.find vertex_of_node v.N.id, w) :: !edges)
+          let source, w = chase net (N.node net fid) in
+          let u = match source with Some s -> vertex_of s | None -> 0 in
+          edges := (u, i + 1, w) :: !edges)
         v.N.fanins)
     logic;
   (* primary outputs back to the host *)
   List.iter
     (fun (_, driver) ->
-      match chase net driver 0 with
+      match chase net driver with
       | Some ({ N.kind = N.Logic _; _ } as source), w ->
         edges := (vertex_of source, 0, w) :: !edges
       | Some _, _ | None, _ -> ())
@@ -87,7 +83,10 @@ let big = max_int / 4
    host (vertex 0) is never an intermediate vertex: a PO-to-PI hop through
    the environment is not a combinational timing path, so it must not
    generate period constraints. *)
+let m_wd_builds = Obs.Metrics.counter "retiming.wd_builds"
+
 let wd_matrices g =
+  Obs.Metrics.incr m_wd_builds;
   let w = Array.make_matrix g.nv g.nv big in
   let d = Array.make_matrix g.nv g.nv neg_infinity in
   List.iter
@@ -120,47 +119,102 @@ let wd_matrices g =
   done;
   (w, dd)
 
-(* Solve r(u) - r(v) <= c_{uv} by Bellman-Ford; None on negative cycle. *)
-let solve_constraints nv constraints =
-  let r = Array.make nv 0 in
-  let changed = ref true in
-  let iterations = ref 0 in
-  while !changed && !iterations <= nv + 2 do
-    changed := false;
-    incr iterations;
-    List.iter
-      (fun (u, v, c) ->
+(* --- the difference-constraint solver ----------------------------------------- *)
+
+(* The clock-period constraints r(u) - r(v) <= W(u,v) - 1, one for every pair
+   whose heaviest minimum-register path exceeds [period], read straight from
+   the matrices ([D] is finite exactly where [W] is). *)
+let period_constraints (w, d) period f =
+  Array.iteri
+    (fun u row ->
+      Array.iteri
+        (fun v duv -> if duv > period +. 1e-9 then f u v (w.(u).(v) - 1))
+        row)
+    d
+
+(* Does the predecessor graph [parent] contain a cycle?  Each walk stamps the
+   vertices it visits with [base + start]; a walk stops at the root (-1) or
+   at a vertex already stamped in this check ([>= base]), and has closed a
+   cycle iff that vertex carries its own stamp.  Callers advance [base] by
+   [Array.length parent] between checks, so stamps never leak across them. *)
+let closes_cycle parent mark base =
+  let n = Array.length parent in
+  let rec walk id v =
+    if v < 0 then false
+    else if mark.(v) >= base then mark.(v) = id
+    else begin
+      mark.(v) <- id;
+      walk id parent.(v)
+    end
+  in
+  let rec from s = s < n && (walk (base + s) s || from (s + 1)) in
+  from 0
+
+(* Solve r(u) - r(v) <= c over the constraints [iter] enumerates, on [n]
+   vertices, by Bellman-Ford relaxation from r = 0.  Whatever the relaxation
+   order, this converges to the greatest solution <= 0, returned shifted so
+   that r(0) = 0.  A cycle in the predecessor graph is a negative cycle, so
+   the first pass that closes one answers [None]; the [n + 2] pass cap is
+   only a backstop. *)
+let solve n iter =
+  let r = Array.make n 0 in
+  let parent = Array.make n (-1) in
+  let mark = Array.make n (-1) in
+  let rec pass k =
+    let changed = ref false in
+    iter (fun u v c ->
         if r.(u) > r.(v) + c then begin
           r.(u) <- r.(v) + c;
+          parent.(u) <- v;
           changed := true
-        end)
-      constraints
-  done;
-  if !changed then None
-  else begin
-    let shift = r.(0) in
-    Some (Array.map (fun x -> x - shift) r)
-  end
+        end);
+    if not !changed then
+      let shift = r.(0) in
+      Some (Array.map (fun x -> x - shift) r)
+    else if k > n + 2 || closes_cycle parent mark (k * n) then None
+    else pass (k + 1)
+  in
+  pass 0
 
-let feasible_retiming g (w, d) target =
-  let constraints = ref [] in
-  List.iter (fun (u, v, wt) -> constraints := (u, v, wt) :: !constraints) g.edges;
-  for u = 0 to g.nv - 1 do
-    for v = 0 to g.nv - 1 do
-      if d.(u).(v) > target +. 1e-9 && w.(u).(v) < big then
-        constraints := (u, v, w.(u).(v) - 1) :: !constraints
-    done
-  done;
-  solve_constraints g.nv !constraints
+let m_probes = Obs.Metrics.counter "retiming.min_period.probes"
 
-let candidate_periods g (_, d) =
+(* A retiming meeting [period] (legal edge weights plus the W/D period
+   constraints), or [None] when the period is infeasible. *)
+let feasible g wd period =
+  Obs.Metrics.incr m_probes;
+  solve g.nv (fun f ->
+      List.iter (fun (u, v, w) -> f u v w) g.edges;
+      period_constraints wd period f)
+
+(* The distinct finite D values, ascending; values within the 1e-9
+   feasibility tolerance of a smaller one collapse onto it. *)
+let candidate_periods (_, d) =
   let set = Hashtbl.create 64 in
-  for u = 0 to g.nv - 1 do
-    for v = 0 to g.nv - 1 do
-      if d.(u).(v) > neg_infinity then Hashtbl.replace set d.(u).(v) ()
-    done
-  done;
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) set [])
+  Array.iter
+    (Array.iter (fun x -> if x > neg_infinity then Hashtbl.replace set x ()))
+    d;
+  let sorted = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) set []) in
+  List.rev
+    (List.fold_left
+       (fun acc c ->
+         match acc with
+         | lowest :: _ when c <= lowest +. 1e-9 -> acc
+         | _ -> c :: acc)
+       [] sorted)
+
+(* Binary search for the index of the first candidate [feasible] accepts
+   (feasibility is monotone in the period); [None] if even the last fails. *)
+let first_feasible candidates feasible =
+  let n = Array.length candidates in
+  if n = 0 || not (feasible candidates.(n - 1)) then None
+  else begin
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if feasible candidates.(mid) then hi := mid else lo := mid + 1
+    done;
+    Some !lo
+  end
 
 (* --- realization by atomic moves ------------------------------------------- *)
 
@@ -215,189 +269,81 @@ let realize net g r =
   if !result = Ok () && total () > 0 then Error (Stuck "budget exhausted")
   else (match !result with Ok () -> Ok () | Error e -> Error e)
 
-(* --- FEAS: the iterative feasibility algorithm -------------------------------- *)
-
-(* FEAS(c): starting from r = 0, repeat |V| times: compute the combinational
-   arrival times of the retimed graph (edges with w_r = 0 are wires) and
-   increment r(v) for every vertex whose arrival exceeds c; c is feasible
-   iff no violation remains.  The host's label stays 0. *)
-let feas_feasible g target =
-  let r = Array.make g.nv 0 in
-  let arrivals () =
-    (* longest-path over the 0-weight subgraph; None on a 0-weight cycle *)
-    let adj = Array.make g.nv [] in
-    let indeg = Array.make g.nv 0 in
-    List.iter
-      (fun (u, v, w) ->
-        (* exactly-zero retimed weight = a wire; transiently negative
-           weights are neither wires nor registers and are ignored here.
-           The host never propagates arrivals (a PO-to-PI hop through the
-           environment is not a combinational path): its outgoing wires
-           contribute nothing beyond each gate's own delay, which the
-           initialization covers. *)
-        let wr = w + r.(v) - r.(u) in
-        if wr = 0 && u <> v && u <> 0 then begin
-          adj.(u) <- v :: adj.(u);
-          indeg.(v) <- indeg.(v) + 1
-        end)
-      g.edges;
-    let arrival = Array.copy g.delay in
-    let queue = Queue.create () in
-    for v = 0 to g.nv - 1 do
-      if indeg.(v) = 0 then Queue.push v queue
-    done;
-    let processed = ref 0 in
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      incr processed;
-      List.iter
-        (fun v ->
-          if arrival.(u) +. g.delay.(v) > arrival.(v) then
-            arrival.(v) <- arrival.(u) +. g.delay.(v);
-          indeg.(v) <- indeg.(v) - 1;
-          if indeg.(v) = 0 then Queue.push v queue)
-        adj.(u)
-    done;
-    if !processed < g.nv then None else Some arrival
-  in
-  (* The host is incrementable like any vertex: retimings only depend on
-     label differences, so a host increment is a global decrement in
-     disguise; labels are renormalized by the caller via r(v) - r(host). *)
-  (* With the host participating, convergence can need more than the
-     classical |V| - 1 rounds (each host increment re-normalizes the whole
-     labeling); a quadratic bound is still cheap at our sizes. *)
-  let rec iterate k =
-    if k > (g.nv * g.nv) + 8 then false
-    else
-      match arrivals () with
-      | None -> false (* a combinational (0-weight) cycle: infeasible here *)
-      | Some arrival ->
-        let violated = Array.make g.nv false in
-        for v = 0 to g.nv - 1 do
-          if arrival.(v) > target +. 1e-9 then violated.(v) <- true
-        done;
-        (* a negative retimed weight is a legality violation of the head
-           vertex: incrementing it is the Bellman-Ford relaxation of the
-           edge constraint r(v) >= r(u) - w *)
-        List.iter
-          (fun (u, v, w) -> if w + r.(v) - r.(u) < 0 then violated.(v) <- true)
-          g.edges;
-        let any = ref false in
-        Array.iteri
-          (fun v bad ->
-            if bad then begin
-              r.(v) <- r.(v) + 1;
-              any := true
-            end)
-          violated;
-        if not !any then
-          List.for_all (fun (u, v, w) -> w + r.(v) - r.(u) >= 0) g.edges
-        else iterate (k + 1)
-  in
-  iterate 0
-
-let min_feasible_period_feas ?(max_vertices = 1200) net model =
-  let g = build_graph net model in
-  if g.nv > max_vertices then Error (Too_large g.nv)
-  else begin
-    let wd = wd_matrices g in
-    let candidates = Array.of_list (candidate_periods g wd) in
-    if Array.length candidates = 0 then Ok 0.0
-    else begin
-      let feasible i = feas_feasible g candidates.(i) in
-      let n = Array.length candidates in
-      if not (feasible (n - 1)) then Error Infeasible
-      else begin
-        let lo = ref 0 and hi = ref (n - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if feasible mid then hi := mid else lo := mid + 1
-        done;
-        Ok candidates.(!lo)
-      end
-    end
-  end
-
 (* --- public entry points ---------------------------------------------------- *)
 
-let retime_with g wd net target =
-  match feasible_retiming g wd target with
-  | None -> Error Infeasible
-  | Some r ->
-    (* The copied network has identical node ids, so the graph tables remain
-       valid for it. *)
-    let copy = N.copy net in
-    (match realize copy g r with
-     | Ok () ->
-       N.sweep copy;
-       Ok copy
-     | Error e -> Error e)
+let vertex_cap = 1200
 
-let min_feasible_period ?(max_vertices = 1200) net model =
-  let g = build_graph net model in
-  if g.nv > max_vertices then Error (Too_large g.nv)
-  else begin
-    let wd = wd_matrices g in
-    let candidates = Array.of_list (candidate_periods g wd) in
-    if Array.length candidates = 0 then Ok 0.0
-    else begin
-      let feasible c = feasible_retiming g wd c <> None in
-      let lo = ref 0 and hi = ref (Array.length candidates - 1) in
-      if not (feasible candidates.(!hi)) then Error Infeasible
-      else begin
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if feasible candidates.(mid) then hi := mid else lo := mid + 1
-        done;
-        Ok candidates.(!lo)
-      end
-    end
-  end
+(* indexed by [failure] constructor, in declaration order *)
+let m_failed =
+  Array.map
+    (fun kind -> Obs.Metrics.counter ("retiming.min_period.failed." ^ kind))
+    [| "too_large"; "infeasible"; "init_state"; "stuck" |]
 
-let retime ?(max_vertices = 1200) net ~model ~target =
-  let g = build_graph net model in
-  if g.nv > max_vertices then Error (Too_large g.nv)
-  else retime_with g (wd_matrices g) net target
+let count_failure f =
+  let i =
+    match f with
+    | Too_large _ -> 0 | Infeasible -> 1 | Init_state _ -> 2 | Stuck _ -> 3
+  in
+  Obs.Metrics.incr m_failed.(i)
 
-let retime_min_period ?(max_vertices = 1200) ?current_period net ~model =
+(* Build the retiming graph and its W/D matrices, unless the graph is over
+   the vertex cap: W/D are dense |V|^2 matrices filled in O(|V|^3). *)
+let with_graph net model k =
   let g = build_graph net model in
-  if g.nv > max_vertices then Error (Too_large g.nv)
-  else begin
-    let wd = wd_matrices g in
-    let current =
-      match current_period with
-      | Some p -> p
-      | None -> Sta.clock_period net model
-    in
-    let candidates =
-      Array.of_list
-        (List.filter (fun c -> c < current -. 1e-9) (candidate_periods g wd))
-    in
-    let n = Array.length candidates in
-    if n = 0 then Error Infeasible
-    else begin
-      (* binary-search the smallest graph-feasible candidate, then walk
-         upward until one is also realizable (initial states computable) *)
-      let feasible i = feasible_retiming g wd candidates.(i) <> None in
-      if not (feasible (n - 1)) then Error Infeasible
-      else begin
-        let lo = ref 0 and hi = ref (n - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if feasible mid then hi := mid else lo := mid + 1
-        done;
-        let rec walk_up i =
-          if i >= n then Error Infeasible
-          else
-            match retime_with g wd net candidates.(i) with
-            | Ok net' -> Ok (net', candidates.(i))
-            | Error (Init_state _ | Stuck _ | Infeasible) -> walk_up (i + 1)
-            | Error (Too_large _) as e -> e
+  if g.nv > vertex_cap then Error (Too_large g.nv) else k g (wd_matrices g)
+
+let min_feasible_period net model =
+  with_graph net model (fun g wd ->
+      let candidates = Array.of_list (candidate_periods wd) in
+      if Array.length candidates = 0 then Ok 0.0
+      else
+        match first_feasible candidates (fun c -> feasible g wd c <> None) with
+        | Some i -> Ok candidates.(i)
+        | None -> Error Infeasible)
+
+let retime_min_period ?current_period net ~model =
+  (* a search that runs out of candidates after realization failures
+     reports [Infeasible], but the failure counters blame the last
+     realization failure: that is why the retiming failed *)
+  let realization_failure = ref None in
+  let result =
+    with_graph net model (fun g wd ->
+        let current =
+          match current_period with
+          | Some p -> p
+          | None -> Sta.clock_period net model
         in
-        walk_up !lo
-      end
-    end
-  end
+        let candidates =
+          Array.of_list
+            (List.filter (fun c -> c < current -. 1e-9) (candidate_periods wd))
+        in
+        (* the smallest graph-feasible candidate, then upward until one is
+           also realizable (initial states computable) *)
+        let rec walk_up i =
+          if i >= Array.length candidates then Error Infeasible
+          else
+            match feasible g wd candidates.(i) with
+            | None -> walk_up (i + 1)
+            | Some r ->
+              (* the copy has identical node ids, so the graph tables remain
+                 valid for it *)
+              let copy = N.copy net in
+              (match realize copy g r with
+               | Ok () ->
+                 N.sweep copy;
+                 Ok (copy, candidates.(i))
+               | Error e ->
+                 realization_failure := Some e;
+                 walk_up (i + 1))
+        in
+        match first_feasible candidates (fun c -> feasible g wd c <> None) with
+        | Some lo -> walk_up lo
+        | None -> Error Infeasible)
+  in
+  (match result with
+   | Ok _ -> ()
+   | Error f -> count_failure (Option.value !realization_failure ~default:f));
+  result
 
 module Internal = struct
   type nonrec graph = graph = {
@@ -409,32 +355,9 @@ module Internal = struct
 
   let build_graph = build_graph
   let wd_matrices = wd_matrices
+  let period_constraints = period_constraints
+  let solve = solve
+  let feasible = feasible
+  let candidate_periods = candidate_periods
   let realize = realize
-end
-
-module Debug = struct
-  let dump net model =
-    let g = build_graph net model in
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf (Printf.sprintf "nv=%d\n" g.nv);
-    Array.iteri
-      (fun v id -> Buffer.add_string buf (Printf.sprintf "vertex %d = node %d (d=%.1f)\n" v id g.delay.(v)))
-      g.node_of_vertex;
-    List.iter
-      (fun (u, v, w) -> Buffer.add_string buf (Printf.sprintf "edge %d -> %d w=%d\n" u v w))
-      g.edges;
-    let w, d = wd_matrices g in
-    for u = 0 to g.nv - 1 do
-      for v = 0 to g.nv - 1 do
-        if w.(u).(v) < big then
-          Buffer.add_string buf (Printf.sprintf "W(%d,%d)=%d D=%.1f\n" u v w.(u).(v) d.(u).(v))
-      done
-    done;
-    List.iter
-      (fun c ->
-        Buffer.add_string buf
-          (Printf.sprintf "candidate %.1f feasible=%b\n" c
-             (feasible_retiming g (w, d) c <> None)))
-      (candidate_periods g (w, d));
-    Buffer.contents buf
 end

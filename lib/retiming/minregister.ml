@@ -18,117 +18,71 @@ let big = max_int / 4
    The LP dual of this difference-constraint program is a transshipment
    problem solved by min-cost flow; the optimal retiming labels are the
    negated potentials of the final residual network. *)
-let min_registers ?(max_vertices = 400) ?target_period net ~model =
+let vertex_cap = 400
+
+let min_registers ?target_period net ~model =
   let g = G.build_graph net model in
-  if g.G.nv > max_vertices then Error (Minperiod.Too_large g.G.nv)
+  let nv = g.G.nv in
+  if nv > vertex_cap then Error (Minperiod.Too_large nv)
   else begin
-    (* group fanout edges by source *)
-    let by_source = Hashtbl.create 64 in
-    List.iter
-      (fun (u, v, w) ->
-        let existing =
-          match Hashtbl.find_opt by_source u with Some l -> l | None -> []
-        in
-        Hashtbl.replace by_source u ((v, w) :: existing))
-      g.G.edges;
-    let sources =
-      List.sort compare (Hashtbl.fold (fun u _ acc -> u :: acc) by_source [])
-    in
-    let mirror = Hashtbl.create 64 in
-    List.iteri (fun i u -> Hashtbl.add mirror u (g.G.nv + i)) sources;
-    let total_vertices = g.G.nv + List.length sources in
+    (* fanout edges by source; the i-th source in ascending order gets the
+       mirror vertex nv + i *)
+    let fanouts = Array.make nv [] in
+    List.iter (fun (u, v, w) -> fanouts.(u) <- (v, w) :: fanouts.(u)) g.G.edges;
+    let sources = List.filter (fun u -> fanouts.(u) <> []) (List.init nv Fun.id) in
+    let total_vertices = nv + List.length sources in
     (* constraints (x, y, bound) meaning r(x) - r(y) <= bound *)
-    let constraints = ref [] in
-    List.iter (fun (u, v, w) -> constraints := (u, v, w) :: !constraints) g.G.edges;
-    (match target_period with
-     | None -> ()
-     | Some period ->
-       let w, d = G.wd_matrices g in
-       for u = 0 to g.G.nv - 1 do
-         for v = 0 to g.G.nv - 1 do
-           if d.(u).(v) > period +. 1e-9 && w.(u).(v) < big then
-             constraints := (u, v, w.(u).(v) - 1) :: !constraints
-         done
-       done);
-    (* mirror constraints and the costed edges *)
-    let costed = ref [] in
-    List.iter
-      (fun u ->
-        let fanouts = Hashtbl.find by_source u in
-        let w_hat = List.fold_left (fun acc (_, w) -> max acc w) 0 fanouts in
-        let m = Hashtbl.find mirror u in
-        constraints := (u, m, w_hat) :: !constraints;
-        List.iter
-          (fun (v, w) -> constraints := (v, m, w_hat - w) :: !constraints)
-          fanouts;
-        costed := (u, m) :: !costed)
+    let constraints = ref (List.rev g.G.edges) in
+    let add x y bound = constraints := (x, y, bound) :: !constraints in
+    Option.iter
+      (fun period -> G.period_constraints (G.wd_matrices g) period add)
+      target_period;
+    List.iteri
+      (fun i u ->
+        let m = nv + i in
+        let w_hat = List.fold_left (fun acc (_, w) -> max acc w) 0 fanouts.(u) in
+        add u m w_hat;
+        List.iter (fun (v, w) -> add v m (w_hat - w)) fanouts.(u))
       sources;
-    (* feasibility: Bellman-Ford on the constraint system *)
-    let feasible =
-      let r = Array.make total_vertices 0 in
-      let changed = ref true and iterations = ref 0 in
-      while !changed && !iterations <= total_vertices + 2 do
-        changed := false;
-        incr iterations;
-        List.iter
-          (fun (u, v, c) ->
-            if r.(u) > r.(v) + c then begin
-              r.(u) <- r.(v) + c;
-              changed := true
-            end)
-          !constraints
-      done;
-      not !changed
-    in
-    if not feasible then Error Minperiod.Infeasible
+    let each f = List.iter (fun (x, y, bound) -> f x y bound) !constraints in
+    if G.solve total_vertices each = None then Error Minperiod.Infeasible
     else begin
-      (* Objective coefficients: +1 on r(m), -1 on r(u) per costed edge.
+      (* Objective coefficients: +1 on r(m_u), -1 on r(u) per costed edge.
          The dual transshipment requires out-minus-in flow = -coefficient,
-         so each u is a unit source and each m a unit sink. *)
-      let divergence = Array.make total_vertices 0 in
-      List.iter
-        (fun (u, m) ->
-          divergence.(u) <- divergence.(u) + 1;
-          divergence.(m) <- divergence.(m) - 1)
-        !costed;
+         so each source u is a unit supply and each mirror a unit demand. *)
       let source = total_vertices and sink = total_vertices + 1 in
       let flow = Mcmf.create (total_vertices + 2) in
+      each (fun x y bound ->
+          Mcmf.add_edge flow ~src:x ~dst:y ~capacity:big ~cost:bound);
       List.iter
-        (fun (u, v, bound) ->
-          Mcmf.add_edge flow ~src:u ~dst:v ~capacity:big ~cost:bound)
-        !constraints;
-      Array.iteri
-        (fun v a ->
-          if a > 0 then Mcmf.add_edge flow ~src:source ~dst:v ~capacity:a ~cost:0
-          else if a < 0 then
-            Mcmf.add_edge flow ~src:v ~dst:sink ~capacity:(-a) ~cost:0)
-        divergence;
+        (fun u -> Mcmf.add_edge flow ~src:source ~dst:u ~capacity:1 ~cost:0)
+        sources;
+      List.iteri
+        (fun i _ -> Mcmf.add_edge flow ~src:(nv + i) ~dst:sink ~capacity:1 ~cost:0)
+        sources;
       let pushed, _ = Mcmf.max_flow_min_cost flow ~source ~sink in
-      let supply =
-        Array.fold_left (fun acc a -> if a > 0 then acc + a else acc) 0 divergence
-      in
-      if pushed < supply then Error Minperiod.Infeasible
-      else begin
-        let potentials = Mcmf.potentials flow in
-        let r =
-          Array.init g.G.nv (fun v -> -potentials.(v) + potentials.(0))
-        in
+      (* a min-cost flow leaves no negative residual cycle, so the
+         potentials always exist once the supply is routed *)
+      match G.solve (total_vertices + 2) (Mcmf.residual_constraints flow) with
+      | Some p when pushed = List.length sources ->
+        (* the labels are the negated potentials; solve fixes p(host) = 0 *)
+        let r = Array.init nv (fun v -> -p.(v)) in
         let copy = N.copy net in
-        match G.realize copy g r with
-        | Error e -> Error e
-        | Ok () ->
-          N.sweep copy;
-          (* recover fanout-stem register sharing structurally *)
-          ignore (Minarea.merge_all_siblings copy);
-          (* The realization can exceed the model optimum when backward
-             moves choose initial-state preimages that keep siblings from
-             merging; never return something worse than the input with its
-             own siblings merged. *)
-          let baseline = N.copy net in
-          ignore (Minarea.merge_all_siblings baseline);
-          if N.num_latches copy <= N.num_latches baseline then
-            Ok (copy, N.num_latches copy)
-          else Ok (baseline, N.num_latches baseline)
-      end
+        (match G.realize copy g r with
+         | Error e -> Error e
+         | Ok () ->
+           N.sweep copy;
+           (* recover fanout-stem register sharing structurally *)
+           ignore (Minarea.merge_all_siblings copy);
+           (* The realization can exceed the model optimum when backward
+              moves choose initial-state preimages that keep siblings from
+              merging; never return something worse than the input with its
+              own siblings merged. *)
+           let baseline = N.copy net in
+           ignore (Minarea.merge_all_siblings baseline);
+           if N.num_latches copy <= N.num_latches baseline then
+             Ok (copy, N.num_latches copy)
+           else Ok (baseline, N.num_latches baseline))
+      | Some _ | None -> Error Minperiod.Infeasible
     end
   end

@@ -5,10 +5,15 @@
     The register-count objective is the classical unshared one
     (Σ_e w_r(e)); registers shared along fanout stems are recovered by a
     sibling-merge pass after realization, as SIS did.  Realization by atomic
-    moves can fail on initial states like any retiming here. *)
+    moves can fail on initial states like any retiming here.
+
+    Feasibility of the constraint system (edge legality, the optional
+    period bound's W/D constraints and the mirror constraints) is decided by
+    {!Minperiod.Internal.solve}, the solver min-period retiming uses.
+    Graphs over 400 vertices are rejected with [Too_large] before any
+    matrix is built. *)
 
 val min_registers :
-  ?max_vertices:int ->
   ?target_period:float ->
   Netlist.Network.t ->
   model:Sta.model ->

@@ -1,9 +1,11 @@
 (* Retiming tests: atomic moves, initial-state computation, Leiserson-Saxe
-   min-period retiming, constrained min-area.  Every transformation is
+   min-period retiming (against FEAS and list Bellman-Ford references),
+   constrained min-area, exact min-register.  Every transformation is
    checked for sequential equivalence. *)
 
 module N = Netlist.Network
 module M = Retiming.Moves
+module MI = Retiming.Minperiod.Internal
 
 let and_cover = Logic.Cover.of_strings 2 [ "11" ]
 let or_cover = Logic.Cover.of_strings 2 [ "1-"; "-1" ]
@@ -198,11 +200,14 @@ let test_min_period_loop () =
   | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f)
 
 let test_retime_infeasible_target () =
+  (* the loop bound is 1: the engine's feasibility check rejects 0.5 and
+     accepts 1 *)
   let net = two_register_loop () in
-  match Retiming.Minperiod.retime net ~model:Sta.unit_delay ~target:0.5 with
-  | Error Retiming.Minperiod.Infeasible -> ()
-  | Ok _ -> Alcotest.fail "0.5 is below the loop bound"
-  | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f)
+  let g = MI.build_graph net Sta.unit_delay in
+  let wd = MI.wd_matrices g in
+  Alcotest.(check bool) "0.5 is below the loop bound" true
+    (MI.feasible g wd 0.5 = None);
+  Alcotest.(check bool) "1 is feasible" true (MI.feasible g wd 1.0 <> None)
 
 let test_retime_pipeline () =
   (* a -> g1 -> g2 -> g3 -> r -> out: moving the register into the middle of
@@ -328,6 +333,100 @@ let prop_minarea_sound =
       && Sta.clock_period net Sta.unit_delay <= period +. 1e-9
       && Sim.Equiv.seq_equal_bdd before net)
 
+(* --- reference algorithms for the min-period engine --------------------------- *)
+
+(* Leiserson-Saxe's iterative FEAS algorithm, an independent feasibility
+   check (relax-and-increment over the retimed graph, no W/D constraints).
+   FEAS(c): starting from r = 0, repeatedly compute the combinational
+   arrival times of the retimed graph (edges with w_r = 0 are wires) and
+   increment r(v) for every vertex whose arrival exceeds c; c is feasible
+   iff no violation remains.  It finds the least solution >= 0 where the
+   engine finds the greatest <= 0, so only the verdicts are comparable. *)
+let feas_feasible (g : MI.graph) target =
+  let r = Array.make g.MI.nv 0 in
+  let arrivals () =
+    (* longest-path over the 0-weight subgraph; None on a 0-weight cycle *)
+    let adj = Array.make g.MI.nv [] in
+    let indeg = Array.make g.MI.nv 0 in
+    List.iter
+      (fun (u, v, w) ->
+        (* exactly-zero retimed weight = a wire; transiently negative
+           weights are neither wires nor registers and are ignored here.
+           The host never propagates arrivals (a PO-to-PI hop through the
+           environment is not a combinational path): its outgoing wires
+           contribute nothing beyond each gate's own delay, which the
+           initialization covers. *)
+        let wr = w + r.(v) - r.(u) in
+        if wr = 0 && u <> v && u <> 0 then begin
+          adj.(u) <- v :: adj.(u);
+          indeg.(v) <- indeg.(v) + 1
+        end)
+      g.MI.edges;
+    let arrival = Array.copy g.MI.delay in
+    let queue = Queue.create () in
+    for v = 0 to g.MI.nv - 1 do
+      if indeg.(v) = 0 then Queue.push v queue
+    done;
+    let processed = ref 0 in
+    while not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      incr processed;
+      List.iter
+        (fun v ->
+          if arrival.(u) +. g.MI.delay.(v) > arrival.(v) then
+            arrival.(v) <- arrival.(u) +. g.MI.delay.(v);
+          indeg.(v) <- indeg.(v) - 1;
+          if indeg.(v) = 0 then Queue.push v queue)
+        adj.(u)
+    done;
+    if !processed < g.MI.nv then None else Some arrival
+  in
+  (* The host is incrementable like any vertex: retimings only depend on
+     label differences, so a host increment is a global decrement in
+     disguise.  With the host participating, convergence can need more than
+     the classical |V| - 1 rounds (each host increment re-normalizes the
+     whole labeling); a quadratic bound is still cheap at these sizes. *)
+  let rec iterate k =
+    if k > (g.MI.nv * g.MI.nv) + 8 then false
+    else
+      match arrivals () with
+      | None -> false (* a combinational (0-weight) cycle: infeasible here *)
+      | Some arrival ->
+        let violated = Array.make g.MI.nv false in
+        for v = 0 to g.MI.nv - 1 do
+          if arrival.(v) > target +. 1e-9 then violated.(v) <- true
+        done;
+        (* a negative retimed weight is a legality violation of the head
+           vertex: incrementing it is the Bellman-Ford relaxation of the
+           edge constraint r(v) >= r(u) - w *)
+        List.iter
+          (fun (u, v, w) -> if w + r.(v) - r.(u) < 0 then violated.(v) <- true)
+          g.MI.edges;
+        let any = ref false in
+        Array.iteri
+          (fun v bad ->
+            if bad then begin
+              r.(v) <- r.(v) + 1;
+              any := true
+            end)
+          violated;
+        if not !any then
+          List.for_all (fun (u, v, w) -> w + r.(v) - r.(u) >= 0) g.MI.edges
+        else iterate (k + 1)
+  in
+  iterate 0
+
+(* The minimum period by linear scan over the engine's candidate periods,
+   each decided by FEAS. *)
+let min_feasible_period_feas net model =
+  let g = MI.build_graph net model in
+  match MI.candidate_periods (MI.wd_matrices g) with
+  | [] -> Ok 0.0
+  | candidates -> (
+    match List.find_opt (feas_feasible g) candidates with
+    | Some c -> Ok c
+    | None -> Error Retiming.Minperiod.Infeasible)
+
 let prop_feas_agrees_with_wd =
   QCheck.Test.make ~count:60
     ~name:"FEAS and W/D min-period algorithms agree"
@@ -336,13 +435,133 @@ let prop_feas_agrees_with_wd =
       let net = Circuits.Generators.random_sequential ~seed seq_profile in
       N.sweep net;
       let a = Retiming.Minperiod.min_feasible_period net Sta.unit_delay in
-      let b = Retiming.Minperiod.min_feasible_period_feas net Sta.unit_delay in
+      let b = min_feasible_period_feas net Sta.unit_delay in
       match a, b with
       | Ok x, Ok y -> abs_float (x -. y) < 1e-9
       | Error Retiming.Minperiod.Infeasible, Error Retiming.Minperiod.Infeasible
         ->
         true
       | _, _ -> false)
+
+(* The list-based Bellman-Ford the engine's solver replaced: relax every
+   constraint until nothing changes, giving up after n + 2 passes. *)
+let solve_list n constraints =
+  let r = Array.make n 0 in
+  let changed = ref true in
+  let iterations = ref 0 in
+  while !changed && !iterations <= n + 2 do
+    changed := false;
+    incr iterations;
+    List.iter
+      (fun (u, v, c) ->
+        if r.(u) > r.(v) + c then begin
+          r.(u) <- r.(v) + c;
+          changed := true
+        end)
+      constraints
+  done;
+  if !changed then None
+  else begin
+    let shift = r.(0) in
+    Some (Array.map (fun x -> x - shift) r)
+  end
+
+(* A random difference-constraint system on 2..12 vertices.  Half are
+   planted feasible (every bound at least the difference of a hidden
+   potential, some tight); the rest draw bounds with a negative bias, so
+   negative cycles are common. *)
+let random_system rng =
+  let n = 2 + Random.State.int rng 11 in
+  let m = Random.State.int rng (3 * n) in
+  let planted = Random.State.bool rng in
+  let p = Array.init n (fun _ -> Random.State.int rng 7 - 3) in
+  let constraint_ () =
+    let u = Random.State.int rng n and v = Random.State.int rng n in
+    let c =
+      if planted then p.(u) - p.(v) + Random.State.int rng 3
+      else Random.State.int rng 7 - 3
+    in
+    (u, v, c)
+  in
+  (n, List.init m (fun _ -> constraint_ ()))
+
+let test_solver_matches_reference () =
+  let rng = Random.State.make [| 2024 |] in
+  let feasible = ref 0 and infeasible = ref 0 in
+  for _ = 1 to 2000 do
+    let n, constraints = random_system rng in
+    let expected = solve_list n constraints in
+    let got = MI.solve n (fun f -> List.iter (fun (u, v, c) -> f u v c) constraints) in
+    if got <> expected then
+      Alcotest.failf "solver differs from the reference on %d vertices: %s" n
+        (String.concat "; "
+           (List.map (fun (u, v, c) -> Printf.sprintf "r%d - r%d <= %d" u v c)
+              constraints));
+    if expected = None then incr infeasible else incr feasible
+  done;
+  Alcotest.(check bool) "feasible systems exercised" true (!feasible >= 500);
+  Alcotest.(check bool) "negative cycles exercised" true (!infeasible >= 200)
+
+let test_candidates_collapse_near_equal () =
+  (* D values that differ only by float rounding (sums taken in different
+     orders) are one candidate, represented by the lowest *)
+  let w = [| [| 0; 1 |]; [| 1; 0 |] |] in
+  let d = [| [| 13.1; 13.1 +. 1e-12 |]; [| neg_infinity; 2.0 |] |] in
+  Alcotest.(check (list (float 0.0))) "one per cluster" [ 2.0; 13.1 ]
+    (MI.candidate_periods (w, d))
+
+(* --- effort caps ------------------------------------------------------------- *)
+
+let big_net ngates =
+  Circuits.Generators.random_sequential ~seed:7
+    { seq_profile with ngates; nlatch = 8 }
+
+(* Run [f] with metrics on; return its result and a reader of the counter
+   deltas it caused. *)
+let with_counters f =
+  Obs.Metrics.enable ();
+  let before = Obs.Metrics.snapshot () in
+  let result = Fun.protect ~finally:Obs.Metrics.disable f in
+  let delta = Obs.Metrics.delta before in
+  let count name =
+    match List.assoc_opt name delta with
+    | Some (Obs.Metrics.Counter n) -> n
+    | Some _ | None -> 0
+  in
+  (result, count)
+
+let test_min_period_too_large () =
+  let net = big_net 1300 in
+  let logic = List.length (N.logic_nodes net) in
+  Alcotest.(check bool) "above the 1200-vertex cap" true (logic + 1 > 1200);
+  let result, count =
+    with_counters (fun () ->
+        Retiming.Minperiod.retime_min_period net ~model:Sta.unit_delay)
+  in
+  (match result with
+   | Error (Retiming.Minperiod.Too_large n) ->
+     Alcotest.(check int) "vertex count" (logic + 1) n
+   | Ok _ -> Alcotest.fail "expected Too_large"
+   | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f));
+  Alcotest.(check int) "failure counted" 1
+    (count "retiming.min_period.failed.too_large");
+  Alcotest.(check int) "W/D never built" 0 (count "retiming.wd_builds")
+
+let test_min_register_too_large () =
+  let net = big_net 450 in
+  let logic = List.length (N.logic_nodes net) in
+  Alcotest.(check bool) "above the 400-vertex cap" true (logic + 1 > 400);
+  let result, count =
+    with_counters (fun () ->
+        Retiming.Minregister.min_registers ~target_period:1.0 net
+          ~model:Sta.unit_delay)
+  in
+  (match result with
+   | Error (Retiming.Minperiod.Too_large n) ->
+     Alcotest.(check int) "vertex count" (logic + 1) n
+   | Ok _ -> Alcotest.fail "expected Too_large"
+   | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f));
+  Alcotest.(check int) "W/D never built" 0 (count "retiming.wd_builds")
 
 (* --- exact min-register retiming ---------------------------------------------- *)
 
@@ -481,7 +700,12 @@ let () =
             test_retime_infeasible_target;
           Alcotest.test_case "pipeline" `Quick test_retime_pipeline;
           Alcotest.test_case "single-register pipeline" `Quick
-            test_retime_cannot_improve_single_register_pipeline ] );
+            test_retime_cannot_improve_single_register_pipeline;
+          Alcotest.test_case "solver matches list Bellman-Ford" `Quick
+            test_solver_matches_reference;
+          Alcotest.test_case "near-equal candidates collapse" `Quick
+            test_candidates_collapse_near_equal;
+          Alcotest.test_case "too large" `Quick test_min_period_too_large ] );
       ( "minarea",
         [ Alcotest.test_case "merges equivalent copies" `Quick
             test_minarea_merges_copies ] );
@@ -490,7 +714,8 @@ let () =
           Alcotest.test_case "respects period" `Quick
             test_minregister_respects_period;
           Alcotest.test_case "infeasible period" `Quick
-            test_minregister_infeasible_period ] );
+            test_minregister_infeasible_period;
+          Alcotest.test_case "too large" `Quick test_min_register_too_large ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
           [ prop_retime_preserves_behaviour; prop_retime_improves_period;

@@ -75,12 +75,6 @@ let () =
     close_in ic;
     s
   in
-  let write_file path s =
-    let oc = open_out path in
-    output_string oc s;
-    output_char oc '\n';
-    close_out oc
-  in
   let waivers, waiver_probs =
     match !waivers_file with
     | None -> ([], [])
@@ -122,10 +116,10 @@ let () =
        | Some f ->
          Obs.Metrics.enable ();
          Typedlint.publish_stats r;
-         write_file f (Obs.Export.metrics_json ~prefix:"typedlint" ())
+         Obs.Export.write_file f (Obs.Export.metrics_json ~prefix:"typedlint" ())
        | None -> ());
       (match !typed_json_out with
-       | Some f -> write_file f (Sanitize.render_json r.Typedlint.findings)
+       | Some f -> Obs.Export.write_file f (Sanitize.render_json r.Typedlint.findings)
        | None -> ());
       ( r.Typedlint.findings @ waiver_probs,
         r.Typedlint.suppressed,
@@ -170,7 +164,7 @@ let () =
   in
   let findings = findings @ stale in
   (match !json_out with
-   | Some f -> write_file f (Sanitize.render_json findings)
+   | Some f -> Obs.Export.write_file f (Sanitize.render_json findings)
    | None -> ());
   let head = if !typed then "lint --typed" else "lint" in
   if findings <> [] then begin

@@ -145,16 +145,10 @@ let () =
   print_string (Report.Table.summary rows);
   if !verify_each then
     print_string "verify-each: all pass boundaries clean\n";
-  let write_file file contents =
-    let oc = open_out file in
-    output_string oc contents;
-    output_char oc '\n';
-    close_out oc
-  in
   (match !verify_json with
    | Some file ->
      let diags = List.concat_map (fun r -> r.Core.Flow.verify_diags) rows in
-     write_file file (Verify.render_json diags)
+     Obs.Export.write_file file (Verify.render_json diags)
    | None -> ());
   let eq_refuted = ref 0 in
   if !eqcheck_each then begin
@@ -174,7 +168,7 @@ let () =
         records
     end;
     match !eqcheck_json with
-    | Some file -> write_file file (Eqcheck.render_json records)
+    | Some file -> Obs.Export.write_file file (Eqcheck.render_json records)
     | None -> ()
   end;
   (match !trace with
@@ -207,7 +201,7 @@ let () =
      be compared byte-for-byte against an uninstrumented one *)
   let san_findings = if !sanitize then Sanitize.findings () else [] in
   (match !sanitize_json with
-   | Some file -> write_file file (Sanitize.render_json san_findings)
+   | Some file -> Obs.Export.write_file file (Sanitize.render_json san_findings)
    | None -> ());
   if san_findings <> [] then begin
     prerr_string (Sanitize.render san_findings);

@@ -677,27 +677,23 @@ let render records =
        records)
 
 let render_json records =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i r ->
-      let extra =
-        match r.verdict with
-        | Proved -> ""
-        | Refuted c ->
-          Printf.sprintf
-            ", \"endpoint\": %S, \"trace_length\": %d, \"sim_confirmed\": %b"
-            c.endpoint (List.length c.trace) c.sim_confirmed
-        | Unknown msg -> Printf.sprintf ", \"reason\": %S" msg
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  { \"label\": %S, \"pass\": %S, \"rule\": %S, \"verdict\": %S, \
-            \"seconds\": %.6f%s }%s\n"
-           r.label r.pass r.rule
-           (verdict_name r.verdict)
-           r.seconds extra
-           (if i = List.length records - 1 then "" else ",")))
-    records;
-  Buffer.add_string buf "]";
-  Buffer.contents buf
+  let module J = Obs.Json in
+  let record r =
+    let extra =
+      match r.verdict with
+      | Proved -> []
+      | Refuted c ->
+        [ ("endpoint", J.Str c.endpoint);
+          ("trace_length", J.Int (List.length c.trace));
+          ("sim_confirmed", J.Bool c.sim_confirmed) ]
+      | Unknown msg -> [ ("reason", J.Str msg) ]
+    in
+    J.Obj
+      ([ ("label", J.Str r.label);
+         ("pass", J.Str r.pass);
+         ("rule", J.Str r.rule);
+         ("verdict", J.Str (verdict_name r.verdict));
+         ("seconds", J.Float r.seconds) ]
+      @ extra)
+  in
+  J.to_string (J.List (List.map record records))

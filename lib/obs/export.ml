@@ -1,93 +1,61 @@
-(* %S is OCaml string syntax, which coincides with JSON escaping for the
-   printable-ASCII names and messages produced here (same convention as
-   Verify.render_json / Eqcheck.render_json). *)
+let args_value args =
+  List.map
+    (fun (k, v) ->
+      ( k,
+        match v with
+        | Trace.Str s -> Json.Str s
+        | Trace.Int i -> Json.Int i
+        | Trace.Float f -> Json.Float f
+        | Trace.Bool b -> Json.Bool b ))
+    args
 
-let attr_json = function
-  | Trace.Str s -> Printf.sprintf "%S" s
-  | Trace.Int i -> string_of_int i
-  | Trace.Float f -> Printf.sprintf "%.6g" f
-  | Trace.Bool b -> string_of_bool b
-
-let args_json args =
-  String.concat ", "
-    (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (attr_json v)) args)
-
-let float_json f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
+(* GC word deltas are whole numbers of words. *)
+let words w = Json.Int (Float.to_int (Float.round w))
 
 (* --- machine JSON ------------------------------------------------------------ *)
 
-let histogram_json (h : Metrics.histogram_snapshot) =
-  let buckets =
-    String.concat ", "
-      (List.map
-         (fun (floor, n) -> Printf.sprintf "\"%d\": %d" floor n)
-         h.Metrics.buckets)
-  in
-  Printf.sprintf
-    "{ \"count\": %d, \"sum\": %d, \"max\": %d, \"buckets\": { %s } }"
-    h.Metrics.count h.Metrics.sum h.Metrics.max_value buckets
+let metric_value = function
+  | Metrics.Counter n -> Json.Int n
+  | Metrics.Gauge g -> Json.Float g
+  | Metrics.Histogram h ->
+    Json.Obj
+      [ ("count", Json.Int h.Metrics.count);
+        ("sum", Json.Int h.Metrics.sum);
+        ("max", Json.Int h.Metrics.max_value);
+        ( "buckets",
+          Json.Obj
+            (List.map
+               (fun (floor, n) -> (string_of_int floor, Json.Int n))
+               h.Metrics.buckets) ) ]
+  | Metrics.Info s -> Json.Str s
 
 let metrics_json ?(prefix = "") () =
   let items =
-    List.filter
-      (fun (name, _) -> String.starts_with ~prefix name)
+    List.filter_map
+      (fun (name, v) ->
+        if String.starts_with ~prefix name then Some (name, metric_value v)
+        else None)
       (Metrics.dump ())
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"metrics\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      let rendered =
-        match v with
-        | Metrics.Counter n -> string_of_int n
-        | Metrics.Gauge g -> float_json g
-        | Metrics.Histogram h -> histogram_json h
-        | Metrics.Info s -> Printf.sprintf "%S" s
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "    %S: %s%s\n" name rendered
-           (if i = List.length items - 1 then "" else ",")))
-    items;
-  Buffer.add_string buf "  }\n}";
-  Buffer.contents buf
+  Json.to_string (Json.Obj [ ("metrics", Json.Obj items) ])
 
-let span_json (s : Trace.span) =
-  let args =
-    if s.Trace.args = [] then ""
-    else Printf.sprintf ", \"args\": { %s }" (args_json s.Trace.args)
-  in
-  Printf.sprintf
-    "{ \"name\": %S, \"cat\": %S, \"track\": %d, \"depth\": %d, \
-     \"start_ns\": %Ld, \"dur_ns\": %Ld, \"gc_minor_words\": %.0f, \
-     \"gc_major_words\": %.0f%s }"
-    s.Trace.name s.Trace.cat s.Trace.track s.Trace.depth s.Trace.start_ns
-    s.Trace.dur_ns s.Trace.minor_words s.Trace.major_words args
+let span_value (s : Trace.span) =
+  Json.Obj
+    ([ ("name", Json.Str s.Trace.name);
+       ("cat", Json.Str s.Trace.cat);
+       ("track", Json.Int s.Trace.track);
+       ("depth", Json.Int s.Trace.depth);
+       ("start_ns", Json.Int (Int64.to_int s.Trace.start_ns));
+       ("dur_ns", Json.Int (Int64.to_int s.Trace.dur_ns));
+       ("gc_minor_words", words s.Trace.minor_words);
+       ("gc_major_words", words s.Trace.major_words) ]
+    @ if s.Trace.args = [] then []
+      else [ ("args", Json.Obj (args_value s.Trace.args)) ])
+
+let span_json s = Json.to_string (span_value s)
 
 let spans_json () =
-  let spans = Trace.spans () in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i (s : Trace.span) ->
-      let args =
-        if s.Trace.args = [] then ""
-        else Printf.sprintf ", \"args\": { %s }" (args_json s.Trace.args)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  { \"name\": %S, \"cat\": %S, \"track\": %d, \"depth\": %d, \
-            \"start_ns\": %Ld, \"dur_ns\": %Ld, \"gc_minor_words\": %.0f, \
-            \"gc_major_words\": %.0f%s }%s\n"
-           s.Trace.name s.Trace.cat s.Trace.track s.Trace.depth
-           s.Trace.start_ns s.Trace.dur_ns s.Trace.minor_words
-           s.Trace.major_words args
-           (if i = List.length spans - 1 then "" else ",")))
-    spans;
-  Buffer.add_string buf "]";
-  Buffer.contents buf
+  Json.to_string (Json.List (List.map span_value (Trace.spans ())))
 
 (* --- Prometheus exposition text ------------------------------------------------ *)
 
@@ -117,6 +85,13 @@ let prom_label_value s =
     s;
   Buffer.contents buf
 
+(* The exposition format spells non-finite samples NaN, +Inf and -Inf. *)
+let prom_float g =
+  if Float.is_finite g then Json.to_string (Json.Float g)
+  else if Float.is_nan g then "NaN"
+  else if g > 0.0 then "+Inf"
+  else "-Inf"
+
 let prometheus_text () =
   let buf = Buffer.create 2048 in
   List.iter
@@ -128,7 +103,8 @@ let prometheus_text () =
         Buffer.add_string buf (Printf.sprintf "%s %d\n" n c)
       | Metrics.Gauge g ->
         Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" n);
-        Buffer.add_string buf (Printf.sprintf "%s %s\n" n (float_json g))
+        Buffer.add_string buf
+          (Printf.sprintf "%s %s\n" n (prom_float g))
       | Metrics.Histogram h ->
         Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" n);
         let cumulative = ref 0 in
@@ -157,41 +133,39 @@ let chrome_json () =
   let tracks =
     List.sort_uniq compare (List.map (fun s -> s.Trace.track) spans)
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\": [\n";
-  Buffer.add_string buf
-    "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
-     \"args\": {\"name\": \"retiming-resynthesis\"}},\n";
-  List.iter
-    (fun t ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \
-            \"tid\": %d, \"args\": {\"name\": \"domain %d\"}},\n"
-           t t))
-    tracks;
-  List.iteri
-    (fun i (s : Trace.span) ->
-      let gc_args =
-        Printf.sprintf "\"gc_minor_words\": %.0f, \"gc_major_words\": %.0f"
-          s.Trace.minor_words s.Trace.major_words
-      in
-      let args =
-        if s.Trace.args = [] then gc_args
-        else args_json s.Trace.args ^ ", " ^ gc_args
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"name\": %S, \"cat\": %S, \"ph\": \"X\", \"pid\": 1, \
-            \"tid\": %d, \"ts\": %.3f, \"dur\": %.3f, \"args\": {%s}}%s\n"
-           s.Trace.name s.Trace.cat s.Trace.track
-           (Int64.to_float s.Trace.start_ns /. 1e3)
-           (Int64.to_float s.Trace.dur_ns /. 1e3)
-           args
-           (if i = List.length spans - 1 then "" else ",")))
-    spans;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let metadata name tid value =
+    Json.Obj
+      [ ("name", Json.Str name);
+        ("ph", Json.Str "M");
+        ("pid", Json.Int 1);
+        ("tid", Json.Int tid);
+        ("args", Json.Obj [ ("name", Json.Str value) ]) ]
+  in
+  let us ns = Json.Float (Int64.to_float ns /. 1e3) in
+  let event (s : Trace.span) =
+    Json.Obj
+      [ ("name", Json.Str s.Trace.name);
+        ("cat", Json.Str s.Trace.cat);
+        ("ph", Json.Str "X");
+        ("pid", Json.Int 1);
+        ("tid", Json.Int s.Trace.track);
+        ("ts", us s.Trace.start_ns);
+        ("dur", us s.Trace.dur_ns);
+        ( "args",
+          Json.Obj
+            (args_value s.Trace.args
+            @ [ ("gc_minor_words", words s.Trace.minor_words);
+                ("gc_major_words", words s.Trace.major_words) ]) ) ]
+  in
+  Json.to_string
+    (Json.Obj
+       [ ( "traceEvents",
+           Json.List
+             ((metadata "process_name" 0 "retiming-resynthesis"
+              :: List.map
+                   (fun t -> metadata "thread_name" t (Printf.sprintf "domain %d" t))
+                   tracks)
+             @ List.map event spans) ) ])
 
 (* --- human summary ------------------------------------------------------------- *)
 

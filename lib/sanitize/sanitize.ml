@@ -132,23 +132,17 @@ let render fs =
        fs)
 
 let render_json fs =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i f ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  { \"rule_id\": %S, \"severity\": %S, \"sites\": [%s], \
-            \"message\": %S }%s\n"
-           f.rule_id
-           (severity_string f.severity)
-           (String.concat ", "
-              (List.map (fun s -> Printf.sprintf "%S" s) f.sites))
-           f.message
-           (if i = List.length fs - 1 then "" else ",")))
-    fs;
-  Buffer.add_string buf "]";
-  Buffer.contents buf
+  let module J = Obs.Json in
+  J.to_string
+    (J.List
+       (List.map
+          (fun f ->
+            J.Obj
+              [ ("rule_id", J.Str f.rule_id);
+                ("severity", J.Str (severity_string f.severity));
+                ("sites", J.List (List.map (fun s -> J.Str s) f.sites));
+                ("message", J.Str f.message) ])
+          fs))
 
 (* --- rule 1: lock-order acyclicity ---------------------------------------------- *)
 

@@ -173,16 +173,6 @@ let payload_of_row (row : Core.Flow.row) =
             ("unknown", J.Int unknown) ] );
       ("verify_diags", J.Int (List.length row.Core.Flow.verify_diags)) ]
 
-let metric_value_json = function
-  | Obs.Metrics.Counter i -> J.Int i
-  | Obs.Metrics.Gauge f -> J.Float f
-  | Obs.Metrics.Histogram h ->
-    J.Obj
-      [ ("count", J.Int h.Obs.Metrics.count);
-        ("sum", J.Int h.Obs.Metrics.sum);
-        ("max", J.Int h.Obs.Metrics.max_value) ]
-  | Obs.Metrics.Info s -> J.Str s
-
 (* Everything nondeterministic about a request — wall time and the metrics
    window — lands here, never in the result payload. *)
 let diag_json job ~t0 snap =
@@ -194,7 +184,7 @@ let diag_json job ~t0 snap =
       ( "metrics",
         J.Obj
           (List.map
-             (fun (name, v) -> (name, metric_value_json v))
+             (fun (name, v) -> (name, Obs.Export.metric_value v))
              (Obs.Metrics.delta snap)) ) ]
 
 let finish eng job state counter =

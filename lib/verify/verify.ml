@@ -478,22 +478,17 @@ let render diags =
        diags)
 
 let render_json diags =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i d ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  { \"rule_id\": %S, \"severity\": %S, \"node_ids\": [%s], \
-            \"message\": %S }%s\n"
-           d.rule_id
-           (severity_string d.severity)
-           (String.concat ", " (List.map string_of_int d.node_ids))
-           d.message
-           (if i = List.length diags - 1 then "" else ",")))
-    diags;
-  Buffer.add_string buf "]";
-  Buffer.contents buf
+  let module J = Obs.Json in
+  J.to_string
+    (J.List
+       (List.map
+          (fun d ->
+            J.Obj
+              [ ("rule_id", J.Str d.rule_id);
+                ("severity", J.Str (severity_string d.severity));
+                ("node_ids", J.List (List.map (fun i -> J.Int i) d.node_ids));
+                ("message", J.Str d.message) ])
+          diags))
 
 exception Verification_failed of string
 

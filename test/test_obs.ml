@@ -1,6 +1,7 @@
 (* lib/obs tests: span nesting (qcheck), the zero-allocation disabled path,
-   a deterministic Chrome-export golden via the fake clock, metrics registry
-   semantics, and flow determinism with tracing on vs off. *)
+   deterministic exporter goldens via the fake clock, exporter output that
+   parses back exactly on hostile strings, metrics registry semantics, and
+   flow determinism with tracing on vs off. *)
 
 let reset_all () =
   Obs.Trace.disable ();
@@ -8,11 +9,6 @@ let reset_all () =
   Obs.Trace.set_clock None;
   Obs.Metrics.disable ();
   Obs.Metrics.reset ()
-
-let contains haystack needle =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  n = 0 || go 0
 
 (* --- span nesting property ---------------------------------------------------- *)
 
@@ -94,7 +90,17 @@ let test_span_exception () =
     (List.length (Obs.Trace.spans ()));
   reset_all ()
 
-(* --- Chrome exporter golden ---------------------------------------------------- *)
+(* --- exporter goldens ------------------------------------------------------------ *)
+
+module J = Obs.Json
+
+let parse_or_fail what text =
+  match J.parse text with
+  | Ok v -> v
+  | Error msg -> Alcotest.failf "%s is not JSON (%s): %s" what msg text
+
+let list_of = function J.List xs -> xs | _ -> Alcotest.fail "expected an array"
+let field k v = Option.get (J.member k v)
 
 (* Fake clock ticking 1 ns per read makes timestamps deterministic: outer
    starts at 1, inner spans 2..3, outer ends at 4. *)
@@ -111,24 +117,36 @@ let test_chrome_golden () =
       Obs.Trace.span ~args:[ ("k", Obs.Trace.Str "v") ] "inner" (fun () -> ()));
   let out = Obs.Export.chrome_json () in
   reset_all ();
-  Alcotest.(check bool) "object with traceEvents" true
-    (String.starts_with ~prefix:"{\"traceEvents\": [" out
-    && String.ends_with ~suffix:"]}" out);
-  Alcotest.(check bool) "process metadata" true
-    (contains out
-       "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
-        \"args\": {\"name\": \"retiming-resynthesis\"}}");
-  Alcotest.(check bool) "track 0 named" true
-    (contains out "\"args\": {\"name\": \"domain 0\"}");
-  Alcotest.(check bool) "outer complete event" true
-    (contains out
-       "{\"name\": \"outer\", \"cat\": \"flow\", \"ph\": \"X\", \"pid\": 1, \
-        \"tid\": 0, \"ts\": 0.001, \"dur\": 0.003, \"args\": {");
-  Alcotest.(check bool) "inner complete event with args" true
-    (contains out
-       "{\"name\": \"inner\", \"cat\": \"span\", \"ph\": \"X\", \"pid\": 1, \
-        \"tid\": 0, \"ts\": 0.002, \"dur\": 0.001, \"args\": {\"k\": \"v\", \
-        \"gc_minor_words\"")
+  let events = list_of (field "traceEvents" (parse_or_fail "chrome_json" out)) in
+  let find name =
+    match List.find_opt (fun e -> J.mem_str "name" e = Some name) events with
+    | Some e -> e
+    | None -> Alcotest.failf "no %s event" name
+  in
+  let meta = find "process_name" in
+  Alcotest.(check (list (option string))) "process metadata"
+    [ Some "M"; Some "retiming-resynthesis" ]
+    [ J.mem_str "ph" meta; J.mem_str "name" (field "args" meta) ];
+  Alcotest.(check (list (option int))) "process metadata ids" [ Some 1; Some 0 ]
+    [ J.mem_int "pid" meta; J.mem_int "tid" meta ];
+  Alcotest.(check (option string)) "track 0 named" (Some "domain 0")
+    (J.mem_str "name" (field "args" (find "thread_name")));
+  let complete name ~cat ~ts ~dur =
+    let e = find name in
+    Alcotest.(check (list (option string))) (name ^ " cat, ph")
+      [ Some cat; Some "X" ] [ J.mem_str "cat" e; J.mem_str "ph" e ];
+    Alcotest.(check (list (option int))) (name ^ " pid, tid")
+      [ Some 1; Some 0 ] [ J.mem_int "pid" e; J.mem_int "tid" e ];
+    Alcotest.(check (list (option (float 0.0)))) (name ^ " ts, dur")
+      [ Some ts; Some dur ] [ J.mem_float "ts" e; J.mem_float "dur" e ]
+  in
+  complete "outer" ~cat:"flow" ~ts:0.001 ~dur:0.003;
+  complete "inner" ~cat:"span" ~ts:0.002 ~dur:0.001;
+  let inner_args = field "args" (find "inner") in
+  Alcotest.(check (option string)) "inner span arg" (Some "v")
+    (J.mem_str "k" inner_args);
+  Alcotest.(check bool) "GC words ride along in args" true
+    (J.member "gc_minor_words" inner_args <> None)
 
 let test_spans_json_golden () =
   reset_all ();
@@ -142,11 +160,93 @@ let test_spans_json_golden () =
   Obs.Trace.span "only" (fun () -> ());
   let out = Obs.Export.spans_json () in
   reset_all ();
-  Alcotest.(check bool) "native span array" true
-    (String.starts_with ~prefix:"[\n" out
-    && contains out
-         "\"name\": \"only\", \"cat\": \"span\", \"track\": 0, \"depth\": 0, \
-          \"start_ns\": 10, \"dur_ns\": 10")
+  match list_of (parse_or_fail "spans_json" out) with
+  | [ s ] ->
+    Alcotest.(check (list (option string))) "name, cat"
+      [ Some "only"; Some "span" ] [ J.mem_str "name" s; J.mem_str "cat" s ];
+    Alcotest.(check (list (option int))) "track, depth, start_ns, dur_ns"
+      [ Some 0; Some 0; Some 10; Some 10 ]
+      (List.map (fun k -> J.mem_int k s) [ "track"; "depth"; "start_ns"; "dur_ns" ])
+  | spans -> Alcotest.failf "expected one span, got %d" (List.length spans)
+
+(* Names, args and messages come from outside the program (daemon request
+   ids, BLIF .model names): every exporter must emit JSON that parses back
+   to the same bytes, and floats must survive bit-exact. *)
+let hostile = "q\"b\\s\001del\127 \xc3\xa4"
+
+let test_json_hostile_strings () =
+  reset_all ();
+  Obs.Metrics.enable ();
+  let t = ref 5_000_000_000_122L in
+  Obs.Trace.set_clock
+    (Some
+       (fun () ->
+         t := Int64.add !t 1L;
+         !t));
+  Obs.Trace.enable ();
+  Obs.Trace.span ~cat:hostile ~args:[ (hostile, Obs.Trace.Str hostile) ] hostile
+    (fun () -> ());
+  Obs.Metrics.set_gauge (Obs.Metrics.gauge "test.obs.sum") (0.1 +. 0.2);
+  Obs.Metrics.set_info ("test.obs." ^ hostile) hostile;
+  let span = List.hd (Obs.Trace.spans ()) in
+  let one = parse_or_fail "span_json" (Obs.Export.span_json span) in
+  let many = list_of (parse_or_fail "spans_json" (Obs.Export.spans_json ())) in
+  let chrome =
+    list_of (field "traceEvents" (parse_or_fail "chrome_json" (Obs.Export.chrome_json ())))
+  in
+  let metrics = field "metrics" (parse_or_fail "metrics_json" (Obs.Export.metrics_json ())) in
+  reset_all ();
+  let same what got = Alcotest.(check (option string)) what (Some hostile) got in
+  List.iter
+    (fun (what, s) ->
+      same (what ^ " name") (J.mem_str "name" s);
+      same (what ^ " cat") (J.mem_str "cat" s);
+      same (what ^ " arg") (J.mem_str hostile (field "args" s)))
+    [ ("span_json", one); ("spans_json", List.hd many) ];
+  let event =
+    List.find (fun e -> J.mem_str "ph" e = Some "X") chrome
+  in
+  same "chrome name" (J.mem_str "name" event);
+  same "chrome cat" (J.mem_str "cat" event);
+  same "chrome arg" (J.mem_str hostile (field "args" event));
+  Alcotest.(check (option (float 0.0))) "chrome ts keeps every digit"
+    (Some 5000000000.123) (J.mem_float "ts" event);
+  same "metrics info" (J.mem_str ("test.obs." ^ hostile) metrics);
+  Alcotest.(check bool) "gauge reads back bit-exact" true
+    (J.mem_float "test.obs.sum" metrics = Some (0.1 +. 0.2));
+  let verify =
+    Verify.render_json
+      [ { Verify.rule_id = hostile; severity = Verify.Error; node_ids = [ 1 ];
+          message = hostile } ]
+  in
+  let eqcheck =
+    Eqcheck.render_json
+      [ { Eqcheck.label = hostile; pass = hostile; rule = hostile;
+          verdict = Eqcheck.Unknown hostile; seconds = 0.1 +. 0.2 } ]
+  in
+  let sanitize =
+    Sanitize.render_json
+      [ { Sanitize.rule_id = hostile; severity = Sanitize.Warning;
+          sites = [ hostile ]; message = hostile } ]
+  in
+  (match list_of (parse_or_fail "Verify.render_json" verify) with
+   | [ d ] ->
+     same "verify rule_id" (J.mem_str "rule_id" d);
+     same "verify message" (J.mem_str "message" d)
+   | _ -> Alcotest.fail "one verify diagnostic expected");
+  (match list_of (parse_or_fail "Eqcheck.render_json" eqcheck) with
+   | [ r ] ->
+     List.iter (fun k -> same ("eqcheck " ^ k) (J.mem_str k r))
+       [ "label"; "pass"; "rule"; "reason" ];
+     Alcotest.(check bool) "eqcheck seconds bit-exact" true
+       (J.mem_float "seconds" r = Some (0.1 +. 0.2))
+   | _ -> Alcotest.fail "one eqcheck record expected");
+  match list_of (parse_or_fail "Sanitize.render_json" sanitize) with
+  | [ f ] ->
+    same "sanitize message" (J.mem_str "message" f);
+    Alcotest.(check (list (option string))) "sanitize sites" [ Some hostile ]
+      (List.map J.to_str (list_of (field "sites" f)))
+  | _ -> Alcotest.fail "one sanitize finding expected"
 
 (* --- metrics registry ---------------------------------------------------------- *)
 
@@ -218,7 +318,9 @@ let () =
          Alcotest.test_case "span-exception" `Quick test_span_exception ]);
       ("export",
        [ Alcotest.test_case "chrome-golden" `Quick test_chrome_golden;
-         Alcotest.test_case "spans-json-golden" `Quick test_spans_json_golden ]);
+         Alcotest.test_case "spans-json-golden" `Quick test_spans_json_golden;
+         Alcotest.test_case "hostile-strings-roundtrip" `Quick
+           test_json_hostile_strings ]);
       ("metrics",
        [ Alcotest.test_case "counters" `Quick test_metrics_counters;
          Alcotest.test_case "histogram" `Quick test_metrics_histogram ]);

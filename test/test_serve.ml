@@ -39,6 +39,11 @@ let test_json_roundtrip () =
      Alcotest.(check string) "print(parse(print)) fixpoint" text
        (J.to_string parsed)
    | Error msg -> Alcotest.failf "roundtrip parse failed: %s" msg);
+  Alcotest.(check (list string)) "float forms: null, x.0, shortest exact digits"
+    [ "null"; "null"; "-2.0"; "0.1"; "0.30000000000000004"; "1e+300" ]
+    (List.map
+       (fun f -> J.to_string (J.Float f))
+       [ Float.nan; Float.infinity; -2.0; 0.1; 0.1 +. 0.2; 1e300 ]);
   (match J.parse "{\"u\":\"\\u0041\\u00e9\"}" with
    | Ok v ->
      Alcotest.(check (option string)) "unicode escapes decode to UTF-8"
@@ -362,23 +367,49 @@ let test_daemon_socket () =
     | _ -> None
   in
   Alcotest.(check (option string)) "daemon row = one-shot row" one_shot row;
-  (* the subscriber received the request's flow span as a JSON line: the
+  (* an inline netlist whose model name and request id the client chose:
+     both reach the streamed spans and must not break their JSON *)
+  let model = "t\xc3\xa4ny" and rid = "q\"\xc3\xa4" in
+  let blif =
+    let header = String.index tiny_blif '\n' in
+    ".model " ^ model
+    ^ String.sub tiny_blif header (String.length tiny_blif - header)
+  in
+  expect_ok "served inline netlist"
+    (ok
+       (Serve.Client.submit_and_wait conn
+          (J.Obj
+             [ ("op", J.Str "submit");
+               ("id", J.Str rid);
+               ("netlist", J.Str blif) ])));
+  (* the subscriber received each request's flow span as a JSON line: the
      span completed (and was delivered) before the job turned "done", so
-     the line is already buffered on this connection *)
+     the line is already buffered on this connection.  Every line must
+     parse. *)
+  let rec hunt remaining pending =
+    if pending = [] || remaining = 0 then pending
+    else
+      match Serve.Client.read_line stream with
+      | None -> pending
+      | Some line ->
+        (match J.parse line with
+         | Error msg -> Alcotest.failf "streamed span is not JSON (%s): %s" msg line
+         | Ok span ->
+           let matches (name, request) =
+             J.mem_str "name" span = Some name
+             && Option.bind (J.member "args" span) (J.mem_str "request")
+                = Some request
+           in
+           hunt (remaining - 1) (List.filter (fun p -> not (matches p)) pending))
+  in
+  Alcotest.(check (list (pair string string)))
+    "span stream delivered both flow spans, names and ids intact" []
+    (hunt 1000 [ ("serve/flow/s27", "s27"); ("serve/flow/" ^ model, rid) ]);
   let contains hay needle =
     let n = String.length needle and h = String.length hay in
     let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
     n = 0 || go 0
   in
-  let rec hunt remaining =
-    if remaining = 0 then false
-    else
-      match Serve.Client.read_line stream with
-      | None -> false
-      | Some line ->
-        contains line "serve/flow/s27" || hunt (remaining - 1)
-  in
-  Alcotest.(check bool) "span stream delivered the flow span" true (hunt 500);
   let metrics =
     ok (Serve.Client.request conn (J.Obj [ ("op", J.Str "metrics") ]))
   in

@@ -1,33 +1,31 @@
-(* Repo-wide static sanitizer driver: two lint heads, one waiver
-   discipline.
+(* Repo-wide static sanitizer driver.
 
-   Usage: lint [--typed] [--waivers FILE] [--json FILE] [--typed-json FILE]
+   Usage: lint [--typed] [--waivers FILE] [--json FILE]
                [--metrics-json FILE] [--source-root DIR] PATH...
 
-   Default mode walks every PATH (directories recurse) collecting .ml
-   files and runs the substring rule engine (Sanlint).  With --typed it
-   instead collects .cmt files under the PATHs (the repo builds with
-   -bin-annot; run from the build root so the .objs directories are in
-   reach) and runs the typed-AST analyzer (Typedlint): capture/escape,
-   lock-discipline, module-escape and blocking-in-task.
+   With --typed it collects the .cmt files under the PATHs (the repo
+   builds with -bin-annot; run from the build root so the .objs
+   directories are in reach) and runs the typed-AST analyzer
+   (Typedlint), the one rule engine: the nondeterminism and memory-model
+   path rules plus capture/escape, lock-discipline, module-escape and
+   blocking-in-task.  It exits non-zero if any unwaived finding survives
+   — including unjustified, unknown-rule or stale waivers, in source or
+   in the waivers file, so the waiver set can only shrink.
 
-   Either way the driver exits non-zero if any unwaivered finding
-   survives — including unjustified or stale waivers, so the waiver set
-   can only shrink.  A LINT_WAIVERS entry is judged for staleness only by
-   the head that owns its rule: typed/* entries by the typed head,
-   everything else by the substring head.  Run by CI and by `dune
+   Without --typed it runs no rules: it audits the waiver markers of the
+   .ml files under the PATHs (each must be justified and name a known
+   rule id), which works before any .cmt exists.  Run by CI and by `dune
    runtest` (see the root dune file); rules are documented in DESIGN.md
-   §14 (substring) and §15 (typed). *)
+   §15. *)
 
 let usage =
-  "usage: lint [--typed] [--waivers FILE] [--json FILE] [--typed-json \
-   FILE]\n            [--metrics-json FILE] [--source-root DIR] PATH...\n"
+  "usage: lint [--typed] [--waivers FILE] [--json FILE]\n\
+  \            [--metrics-json FILE] [--source-root DIR] PATH...\n"
 
 let () =
   let typed = ref false in
   let waivers_file = ref None in
   let json_out = ref None in
-  let typed_json_out = ref None in
   let metrics_out = ref None in
   let source_root = ref "." in
   let paths = ref [] in
@@ -41,9 +39,6 @@ let () =
       parse rest
     | "--json" :: f :: rest ->
       json_out := Some f;
-      parse rest
-    | "--typed-json" :: f :: rest ->
-      typed_json_out := Some f;
       parse rest
     | "--metrics-json" :: f :: rest ->
       metrics_out := Some f;
@@ -64,8 +59,8 @@ let () =
     prerr_endline "lint: no paths given";
     exit 2
   end;
-  if (!typed_json_out <> None || !metrics_out <> None) && not !typed then begin
-    prerr_endline "lint: --typed-json/--metrics-json require --typed";
+  if !metrics_out <> None && not !typed then begin
+    prerr_endline "lint: --metrics-json requires --typed";
     exit 2
   end;
   let read_file path =
@@ -78,7 +73,7 @@ let () =
   let waivers, waiver_probs =
     match !waivers_file with
     | None -> ([], [])
-    | Some f -> Sanlint.parse_waivers (read_file f)
+    | Some f -> Lint_common.parse_waivers (read_file f)
   in
   (* gather files by suffix, sorted for a deterministic report *)
   let rec gather suffix acc path =
@@ -92,13 +87,7 @@ let () =
     else if Filename.check_suffix path suffix then path :: acc
     else acc
   in
-  (* which rule families does this invocation evaluate?  Only their file
-     waivers can be judged stale here. *)
-  let evaluable rule =
-    if !typed then List.mem rule Typedlint.rule_ids
-    else List.mem rule Sanlint.rule_ids
-  in
-  let findings, suppressed, files_scanned, line_waived =
+  let findings, files_scanned, summary =
     if !typed then begin
       let cmts = List.rev (List.fold_left (gather ".cmt") [] paths) in
       let config =
@@ -118,64 +107,32 @@ let () =
          Typedlint.publish_stats r;
          Obs.Export.write_file f (Obs.Export.metrics_json ~prefix:"typedlint" ())
        | None -> ());
-      (match !typed_json_out with
-       | Some f -> Obs.Export.write_file f (Sanitize.render_json r.Typedlint.findings)
-       | None -> ());
-      ( r.Typedlint.findings @ waiver_probs,
-        r.Typedlint.suppressed,
+      ( waiver_probs @ r.Typedlint.findings,
         r.Typedlint.files_scanned,
-        r.Typedlint.waivers_honored )
+        Printf.sprintf ", %d rule(s), %d waived site(s)"
+          (List.length Typedlint.rule_ids) r.Typedlint.waivers_honored )
     end
     else begin
       let files = List.rev (List.fold_left (gather ".ml") [] paths) in
-      let findings, suppressed =
-        List.fold_left
-          (fun (facc, sacc) path ->
-            let fs, sup =
-              Sanlint.scan_file ~foreign_rules:Typedlint.rule_ids ~waivers
-                ~path (read_file path)
-            in
-            (facc @ fs, sacc @ sup))
-          (waiver_probs, [])
+      let marker_probs =
+        List.concat_map
+          (fun path ->
+            snd
+              (Lint_common.line_waivers ~known:Typedlint.rule_ids ~path
+                 (read_file path)))
           files
       in
-      (findings, suppressed, List.length files, 0)
+      (waiver_probs @ marker_probs, List.length files, "")
     end
   in
-  (* a LINT_WAIVERS entry that suppresses nothing is stale: report it —
-     but only for rules this invocation actually evaluated *)
-  let used = Sanlint.used_waivers ~waivers suppressed in
-  let stale =
-    List.filter_map
-      (fun w ->
-        if (not (evaluable w.Sanlint.w_rule)) || List.memq w used then None
-        else
-          Some
-            Sanitize.
-              { rule_id = "lint/waiver-unused";
-                severity = Error;
-                sites = [ Printf.sprintf "LINT_WAIVERS(%s)" w.Sanlint.w_path ];
-                message =
-                  Printf.sprintf
-                    "file waiver for %s on %S suppresses nothing — remove \
-                     it"
-                    w.Sanlint.w_rule w.Sanlint.w_path })
-      waivers
-  in
-  let findings = findings @ stale in
   (match !json_out with
    | Some f -> Obs.Export.write_file f (Sanitize.render_json findings)
    | None -> ());
-  let head = if !typed then "lint --typed" else "lint" in
+  let head = if !typed then "lint --typed" else "lint (waiver audit)" in
   if findings <> [] then begin
     print_endline (Sanitize.render findings);
     Printf.printf "%s: %d finding(s) in %d file(s) scanned\n" head
       (List.length findings) files_scanned;
     exit 1
   end
-  else
-    Printf.printf "%s: clean — %d file(s), %d rule(s), %d waived site(s)\n"
-      head files_scanned
-      (List.length
-         (if !typed then Typedlint.rule_ids else Sanlint.rule_ids))
-      (List.length suppressed + line_waived)
+  else Printf.printf "%s: clean — %d file(s)%s\n" head files_scanned summary

@@ -1,49 +1,12 @@
-(* Typed-AST isolation analyzer over compiler-libs typedtrees.
+(* Typed-AST analyzer over compiler-libs typedtrees: the repo's one lint
+   head.  The rules, the waiver discipline and the soundness posture are
+   documented in typedlint.mli; every deliberate gap is listed in
+   DESIGN.md §15.
 
-   Loads [.cmt] files (the repo builds with [-bin-annot]; dune emits them
-   for every module) and runs interprocedural dataflow rules with real
-   binding and scope resolution — the semantic upgrade over the substring
-   lint in [Sanlint], whose token rules can neither follow a closure
-   capture nor tell which lock guards which field.  Four rule families:
-
-   - [typed/capture-escape] — a thunk passed to the scheduler
-     ([Sched.fork] / [Core.Parallel.fork]/[map]/[map_list]) whose closure
-     captures a [ref], [Hashtbl.t] or [Buffer.t] binding from an enclosing
-     scope, or writes a mutable record field of a captured value, without
-     routing through [Atomic], a [Mutex]-guarded section, [Domain.DLS] or
-     the obs/sanitize registries.  This is the per-request-isolation proof
-     the resynthesis daemon needs: no forked task may reach
-     unsynchronized mutable state.
-   - [typed/lock-discipline] — consistent-lock-set inference (RacerD
-     style): every access to a shared mutable location (module-level
-     [ref]/[Hashtbl]/[Buffer] values, mutable record fields keyed by
-     [Type.field]) collects the lock set held at the access, seeded from
-     [Sanitize.Lock.lock], [Mutex.lock] and [Mutex.protect] sites.  A
-     location that is locked at one access must share a common lock at
-     every access; an empty intersection (wrong lock, or no lock on some
-     path) is a finding.
-   - [typed/module-escape] — module-level mutable state reachable from
-     the flow entry points ([Flow.run_all], [Report.Table.run_suite*],
-     the [bin/] executables, future daemon handlers) with no registered
-     synchronization wrapper: not [Atomic]/[Mutex]/[Condition]/
-     [Domain.DLS], not inside the sanctioned registries (lib/obs,
-     lib/sanitize), and not consistently lock-guarded per the
-     lock-discipline inference.
-   - [typed/blocking-in-task] — [Mutex.lock], [Condition.wait],
-     [Sanitize.Lock.lock]/[wait], [Unix] blocking calls or [Thread.delay]
-     syntactically reachable inside a forked task body (directly or
-     through same-unit helpers): the no-help fork-join scheduler parks a
-     whole worker for the duration, so a blocked task stalls the pool.
-
-   Soundness posture: the analyzer prefers silence to noise.  It is
-   intraprocedural plus one same-unit hop (thunks resolved to local
-   definitions, blocking calls chased through same-unit helpers), does
-   not expand type aliases without an environment, treats lambdas it
-   cannot see called as unreachable, and identifies locks by access path
-   (per-field, per-global) rather than by instance.  Every deliberate gap
-   is documented in DESIGN.md §15.  Findings reuse the [Verify]/
-   [Sanitize] report shape and the shared justified-waiver discipline of
-   [Lint_common]. *)
+   Two kinds of rule share one pass over each unit's [.cmt]: the path
+   rules ([path_rules], one table over resolved value paths) and the
+   dataflow rules (capture/escape and blocking-in-task per fork site,
+   lock-discipline and module-escape across units). *)
 
 type finding = Sanitize.finding = {
   rule_id : string;
@@ -51,10 +14,6 @@ type finding = Sanitize.finding = {
   sites : string list;
   message : string;
 }
-
-let rule_ids =
-  [ "typed/blocking-in-task"; "typed/capture-escape";
-    "typed/lock-discipline"; "typed/module-escape" ]
 
 type config = {
   source_root : string;
@@ -680,6 +639,191 @@ let analyze_thunk ctx ~fork_name ~fork_site (thunk : expression) =
    | None -> ());
   List.rev !found
 
+(* --- path rules: nondeterminism and memory-model hazards ----------------------------- *)
+
+(* When a path rule fires on a reference to a matching value. *)
+type path_guard =
+  | Anywhere
+  | Unless_sorted
+      (* silent when the call's value goes straight into a List/Array sort:
+         as its argument, or through [|>] or [@@] *)
+  | On_field of string
+      (* only when applied to a record field of this name *)
+
+type path_rule = {
+  pr_id : string;
+  pr_hit : string -> bool;  (* on the resolved value path *)
+  pr_guard : path_guard;
+  pr_message : string;
+}
+
+let path_rules =
+  [ { pr_id = "nondet/hashtbl-order";
+      pr_hit =
+        (fun p ->
+          p = "Stdlib.Hashtbl.iter" || p = "Stdlib.Hashtbl.fold"
+          || starts_with ~prefix:"Stdlib.Hashtbl.to_seq" p);
+      pr_guard = Unless_sorted;
+      pr_message =
+        "unordered Hashtbl iteration: hash order is an implementation \
+         detail (and changes under OCAMLRUNPARAM=R); sort the result or \
+         waive with the downstream normalization argument" };
+    { pr_id = "nondet/wall-clock";
+      pr_hit =
+        (fun p ->
+          List.mem p [ "Unix.gettimeofday"; "Unix.time"; "Stdlib.Sys.time" ]);
+      pr_guard = Anywhere;
+      pr_message =
+        "wall-clock read: results must not depend on when they were \
+         computed; timing that feeds only measurement output must be \
+         waived as such" };
+    { pr_id = "nondet/ambient-random";
+      pr_hit =
+        (fun p ->
+          starts_with ~prefix:"Stdlib.Random." p
+          && not (starts_with ~prefix:"Stdlib.Random.State." p));
+      pr_guard = Anywhere;
+      pr_message =
+        "ambient Random.* generator: global RNG state makes results \
+         depend on call interleaving; use an explicitly seeded \
+         Random.State" };
+    { pr_id = "nondet/domain-id";
+      pr_hit = (fun p -> p = "Stdlib.Domain.self");
+      pr_guard = Anywhere;
+      pr_message =
+        "Domain.self in code: domain identity varies with scheduling and \
+         must never reach a result path" };
+    { pr_id = "mm/physical-eq-key";
+      pr_hit = (fun p -> p = "Stdlib.Obj.repr" || p = "Stdlib.Obj.magic");
+      pr_guard = Anywhere;
+      pr_message =
+        "physical-equality / address-dependent key: object identity is \
+         not a stable program input (moving GC, re-parsing) and poisons \
+         memo tables" };
+    { pr_id = "mm/naked-atomic-get";
+      pr_hit = (fun p -> p = "Stdlib.Atomic.get");
+      pr_guard = On_field "published";
+      pr_message =
+        "naked Atomic.get of a fence-protected field: .published is the \
+         publication fence and may only be read as part of the documented \
+         sync-retry protocol" } ]
+
+let rule_ids =
+  List.sort compare
+    ([ "typed/blocking-in-task"; "typed/capture-escape";
+       "typed/lock-discipline"; "typed/module-escape" ]
+    @ List.map (fun r -> r.pr_id) path_rules)
+
+let sort_fns =
+  [ "Stdlib.List.sort"; "Stdlib.List.stable_sort"; "Stdlib.List.fast_sort";
+    "Stdlib.List.sort_uniq"; "Stdlib.Array.sort"; "Stdlib.Array.stable_sort";
+    "Stdlib.Array.fast_sort" ]
+
+(* the path a module alias names: [module H = Hashtbl], possibly under a
+   signature constraint *)
+let rec alias_target (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some p
+  | Tmod_constraint (me, _, _, _) -> alias_target me
+  | _ -> None
+
+(* Run the path-rule table over a whole unit.  A value path resolves
+   through the module aliases the unit binds ([module H = Hashtbl],
+   [let module H = ... in]); [open] and [M.(e)] need no help, since the
+   typer already records the qualified path. *)
+let path_rule_findings ~src (str : structure) =
+  let aliases = Hashtbl.create 8 in
+  let rec resolve = function
+    | Path.Pident id -> (
+      match Hashtbl.find_opt aliases (Ident.unique_name id) with
+      | Some target -> target
+      | None -> norm_name (Ident.name id))
+    | Path.Pdot (q, s) -> resolve q ^ "." ^ s
+    | p -> norm_name (Path.name p)
+  in
+  let bind id me =
+    match (id, alias_target me) with
+    | Some id, Some p ->
+      Hashtbl.replace aliases (Ident.unique_name id) (resolve p)
+    | _ -> ()
+  in
+  let name (e : expression) =
+    match e.exp_desc with
+    | Texp_ident (p, _, _) -> Some (resolve p)
+    | _ -> None
+  in
+  (* the function an application chain finally calls: the typer turns
+     [x |> List.sort cmp] and [List.sort cmp @@ x] into
+     [(List.sort cmp) x] *)
+  let rec head (e : expression) =
+    match e.exp_desc with Texp_apply (f, _) -> head f | _ -> e
+  in
+  let is_sort (e : expression) =
+    match name (head e) with Some n -> List.mem n sort_fns | None -> false
+  in
+  (* the callee of an argument that is itself a call *)
+  let callee (a : expression) =
+    match a.exp_desc with Texp_apply (f, _) -> Some (head f) | _ -> None
+  in
+  let sorted = ref [] in
+  let found = ref [] in
+  let fire r (at : expression) =
+    found :=
+      { rf_rule = r.pr_id;
+        rf_sites = [ loc_site at.exp_loc src ];
+        rf_message = r.pr_message }
+      :: !found
+  in
+  let it =
+    let open Tast_iterator in
+    let module_binding sub mb =
+      bind mb.mb_id mb.mb_expr;
+      default_iterator.module_binding sub mb
+    in
+    let expr sub (e : expression) =
+      (match e.exp_desc with
+       | Texp_letmodule (id, _, _, me, _) -> bind id me
+       | Texp_ident _ ->
+         Option.iter
+           (fun n ->
+             List.iter
+               (fun r ->
+                 let fires =
+                   match r.pr_guard with
+                   | Anywhere -> true
+                   | Unless_sorted -> not (List.memq e !sorted)
+                   | On_field _ -> false
+                 in
+                 if fires && r.pr_hit n then fire r e)
+               path_rules)
+           (name e)
+       | Texp_apply (f, args) ->
+         (* calls whose value goes straight into a sort *)
+         if is_sort f then
+           List.iter
+             (fun (_, a) ->
+               Option.iter (fun c -> sorted := c :: !sorted)
+                 (Option.bind a callee))
+             args;
+         Option.iter
+           (fun n ->
+             List.iter
+               (fun r ->
+                 match (r.pr_guard, first_nolabel_arg args) with
+                 | On_field lbl, Some { exp_desc = Texp_field (_, _, l); _ }
+                   when l.Types.lbl_name = lbl && r.pr_hit n ->
+                   fire r f
+                 | _ -> ())
+               path_rules)
+           (name f)
+       | _ -> ());
+      default_iterator.expr sub e
+    in
+    { default_iterator with expr; module_binding }
+  in
+  it.structure it str;
+  !found
+
 (* --- toplevel mutable-state classification ----------------------------------------- *)
 
 let classify_global ctx (vb : value_binding) =
@@ -807,6 +951,8 @@ let scan_unit cfg (cmt : Cmt_format.cmt_infos) =
         let fs = analyze_thunk ctx ~fork_name ~fork_site thunk in
         unit_.u_raw <- fs @ unit_.u_raw)
       (List.rev !(ctx.forks));
+    (* pass 3: the path rules, over every expression of the unit *)
+    unit_.u_raw <- path_rule_findings ~src:source str @ unit_.u_raw;
     Some unit_
   | _ -> None
 
@@ -957,8 +1103,6 @@ type result = {
   files_scanned : int;
   rules_fired : (string * int) list;
   waivers_honored : int;
-  suppressed : (string * string * string) list;
-      (** file-level suppressions: (path, rule, waiver-path) *)
 }
 
 let finding_of_raw rf =
@@ -967,31 +1111,26 @@ let finding_of_raw rf =
     sites = rf.rf_sites;
     message = rf.rf_message }
 
-(* in-source waivers of the scanned units' sources, cached per file *)
+(* in-source waivers of the scanned units' sources, with the findings for
+   unjustified and unknown-rule markers, cached per file *)
 let source_waivers cfg =
   let cache = Hashtbl.create 16 in
   fun path ->
     match Hashtbl.find_opt cache path with
-    | Some ws -> ws
+    | Some r -> r
     | None ->
       let full = Filename.concat cfg.source_root path in
-      let ws =
-        match
-          if Sys.file_exists full then (
-            let ic = open_in_bin full in
-            let n = in_channel_length ic in
-            let s = really_input_string ic n in
-            close_in ic;
-            Some s)
-          else None
-        with
-        | Some content ->
-          let raw, code = Lint_common.strip_lines content in
-          fst (Lint_common.line_waivers ~path raw code)
-        | None -> []
+      let r =
+        if Sys.file_exists full then begin
+          let ic = open_in_bin full in
+          let content = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          Lint_common.line_waivers ~known:rule_ids ~path content
+        end
+        else ([], [])
       in
-      Hashtbl.replace cache path ws;
-      ws
+      Hashtbl.replace cache path r;
+      r
 
 let site_file_line site =
   match String.rindex_opt site ':' with
@@ -1062,8 +1201,8 @@ let scan_cmt_files ?(config = default_config) ?(waivers = []) paths =
      covered by a justified in-source waiver for the rule, or when a
      file-level waiver's path fragment matches a site's file *)
   let lookup = source_waivers cfg in
-  let used_line_waivers = ref [] in
-  let suppressed = ref [] in
+  let used = ref [] in  (* line waivers that suppressed something *)
+  let used_files = ref [] in  (* likewise, LINT_WAIVERS entries *)
   let honored = ref 0 in
   let survives rf =
     (* evaluate every site against every waiver (no short-circuit): a
@@ -1079,12 +1218,11 @@ let scan_cmt_files ?(config = default_config) ?(waivers = []) paths =
                 w.Lint_common.lw_rule = rf.rf_rule
                 && List.mem l w.Lint_common.lw_covers
               then begin
-                if not (List.memq (f, w) !used_line_waivers) then
-                  used_line_waivers := (f, w) :: !used_line_waivers;
+                used := w :: !used;
                 incr honored;
                 line_waived := true
               end)
-            (lookup f)
+            (fst (lookup f))
         | None -> ())
       rf.rf_sites;
     let line_waived = !line_waived in
@@ -1099,9 +1237,7 @@ let scan_cmt_files ?(config = default_config) ?(waivers = []) paths =
                    match site_file_line site with
                    | Some (f, _) ->
                      if Lint_common.contains f w.Lint_common.w_path then begin
-                       suppressed :=
-                         (f, w.Lint_common.w_rule, w.Lint_common.w_path)
-                         :: !suppressed;
+                       used_files := w :: !used_files;
                        incr honored;
                        true
                      end
@@ -1113,44 +1249,54 @@ let scan_cmt_files ?(config = default_config) ?(waivers = []) paths =
       not file_waived
   in
   let surviving = List.filter survives raw in
-  (* stale in-source typed waivers: ours to judge — any typed/* waiver in
-     a scanned unit's source that suppressed nothing must go *)
-  let stale =
+  (* the waiver discipline: unjustified and unknown-rule markers, and any
+     marker or LINT_WAIVERS entry that suppressed nothing *)
+  let stale_entries =
+    List.filter_map
+      (fun w ->
+        if List.memq w !used_files then None
+        else
+          Some
+            { rule_id = "lint/waiver-unused";
+              severity = Sanitize.Error;
+              sites = [ Printf.sprintf "LINT_WAIVERS(%s)" w.Lint_common.w_path ];
+              message =
+                Printf.sprintf
+                  "file waiver for %s on %S suppresses nothing — remove it"
+                  w.Lint_common.w_rule w.Lint_common.w_path })
+      waivers
+  in
+  let marker_findings =
     List.concat_map
       (fun u ->
-        let ws = lookup u.u_source in
-        List.filter_map
-          (fun w ->
-            if
-              List.mem w.Lint_common.lw_rule rule_ids
-              && not
-                   (List.exists
-                      (fun (f, w') -> f = u.u_source && w' == w)
-                      !used_line_waivers)
-            then
-              Some
-                { rf_rule = "lint/waiver-unused";
-                  rf_sites =
-                    [ Printf.sprintf "%s:%d" u.u_source
-                        w.Lint_common.lw_line ];
-                  rf_message =
-                    Printf.sprintf
-                      "waiver for %s suppresses nothing — remove it"
-                      w.Lint_common.lw_rule }
-            else None)
-          ws)
+        let ws, probs = lookup u.u_source in
+        probs
+        @ List.filter_map
+            (fun w ->
+              if List.memq w !used then None
+              else
+                Some
+                  { rule_id = "lint/waiver-unused";
+                    severity = Sanitize.Error;
+                    sites =
+                      [ Printf.sprintf "%s:%d" u.u_source
+                          w.Lint_common.lw_line ];
+                    message =
+                      Printf.sprintf
+                        "waiver for %s suppresses nothing — remove it"
+                        w.Lint_common.lw_rule })
+            ws)
       units
   in
   let findings =
     List.sort_uniq compare
-      (List.map finding_of_raw (surviving @ stale))
+      (List.map finding_of_raw surviving @ marker_findings @ stale_entries)
   in
   { findings;
     files_scanned = List.length units;
     rules_fired =
       List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) fired []);
-    waivers_honored = !honored;
-    suppressed = List.sort_uniq compare !suppressed }
+    waivers_honored = !honored }
 
 (* --- metrics ----------------------------------------------------------------------- *)
 

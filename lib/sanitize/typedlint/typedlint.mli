@@ -1,11 +1,25 @@
-(** Typed-AST isolation analyzer (the sanitizer's semantic head).
+(** Typed-AST analyzer: the sanitizer's static lint head.
 
     Loads compiler-libs [.cmt] files (the repo builds with [-bin-annot])
-    and runs interprocedural dataflow rules with real binding and scope
-    resolution — the semantic upgrade over the substring lint in
-    {!Sanlint}.  Rule families (all [Error] severity; findings reuse the
-    {!Sanitize.finding} shape and the shared waiver discipline of
-    {!Lint_common}):
+    and runs every lint rule over resolved value paths and real binding
+    and scope resolution.  All rules are [Error] severity; findings reuse
+    the {!Sanitize.finding} shape and the justified-waiver discipline of
+    {!Lint_common}.
+
+    Path rules, one table, fire on references to resolved value paths —
+    through [open], local opens and module aliases:
+
+    - [nondet/hashtbl-order] — [Stdlib.Hashtbl.iter]/[fold]/[to_seq*].
+      A fold or [to_seq*] whose value goes straight into a [List]/[Array]
+      sort (as an argument, or through [|>] or [@@]) is exempt.
+    - [nondet/wall-clock] — [Unix.gettimeofday], [Unix.time], [Sys.time].
+    - [nondet/ambient-random] — [Random.*] outside [Random.State].
+    - [nondet/domain-id] — [Domain.self].
+    - [mm/physical-eq-key] — [Obj.repr], [Obj.magic].
+    - [mm/naked-atomic-get] — [Atomic.get] applied to a field named
+      [published].
+
+    Dataflow rules:
 
     - [typed/capture-escape] — a thunk passed to [Sched.fork] /
       [Core.Parallel.fork]/[map]/[map_list] whose closure captures a
@@ -42,8 +56,10 @@ type finding = Sanitize.finding = {
 }
 
 val rule_ids : string list
-(** The four [typed/*] rule ids, sorted.  [scan_cmt_files] can also emit
-    [lint/waiver-unused] for stale in-source [typed/*] waivers. *)
+(** The ten rule ids — the six path rules and the four [typed/*] rules —
+    sorted.  [scan_cmt_files] can also emit the waiver-discipline
+    findings [lint/waiver-unjustified], [lint/waiver-unknown-rule] and
+    [lint/waiver-unused]. *)
 
 type config = {
   source_root : string;
@@ -70,9 +86,6 @@ type result = {
   rules_fired : (string * int) list;
       (** pre-waiver fired counts per rule id, sorted *)
   waivers_honored : int;    (** suppressions applied (line + file) *)
-  suppressed : (string * string * string) list;
-      (** file-level suppressions as [(path, rule_id, waiver_path)] — feed
-          to {!Lint_common.used_waivers} for staleness checking *)
 }
 
 val scan_cmt_files :
@@ -81,9 +94,10 @@ val scan_cmt_files :
     are skipped; units are deduped by recorded source file, sorted for
     determinism).  [waivers] are [LINT_WAIVERS] entries; in-source
     [lint-waive] markers are read from each unit's source under
-    [config.source_root].  Stale in-source [typed/*] waivers come back as
-    [lint/waiver-unused] findings — this head owns their staleness, the
-    substring head owns justification and known-rule checks. *)
+    [config.source_root].  The whole waiver discipline runs here:
+    unjustified markers, markers naming no rule in {!rule_ids}, and
+    markers or [waivers] entries that suppressed nothing come back as
+    findings. *)
 
 val publish_stats : result -> unit
 (** Publish [typedlint.*] gauges (files scanned, findings, rules fired —

@@ -1,4 +1,4 @@
-(* Typed-AST analyzer (semantic lint head).
+(* Typed-AST analyzer (the lint).
 
    Each mutation test compiles a small self-contained source to a .cmt
    (ocamlc -bin-annot in a temp dir) with a stub [Core.Parallel] whose
@@ -10,8 +10,13 @@
    Atomic / Mutex.protect / a consistent lock and must scan clean.  The
    qcheck property generates random *pure* closures, forks them at jobs
    1/2/4, and asserts the analyzer never reports (no false positives).
-   Waiver tests cover the shared justified-waiver discipline: trailing
-   suppression, file-level LINT_WAIVERS entries, and staleness. *)
+   The path-rule tests compile one firing mutant per nondeterminism and
+   memory-model rule, spellings only path resolution can see (opens, a
+   module alias) and clean controls.  Waiver tests cover the whole
+   justified-waiver discipline: trailing and standalone suppression,
+   file-level LINT_WAIVERS entries, markers inside string literals,
+   unjustified, unknown-rule and stale markers; the stripper's regression
+   inputs are checked on its output and on what each marker covers. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -30,7 +35,7 @@ let compile src =
   let rc =
     Sys.command
       (Printf.sprintf
-         "cd %s && ocamlc -c -bin-annot -w -a mutant.ml 2>mutant.err"
+         "cd %s && ocamlc -c -bin-annot -w -a -I +unix mutant.ml 2>mutant.err"
          (Filename.quote dir))
   in
   if rc <> 0 then
@@ -315,9 +320,271 @@ let test_waiver_file_level () =
         w_reason = "fixture: suppressed at file scope for the test" } ]
   in
   let r = scan ~waivers (capture_mutant_with "") in
-  check_rules "file-level waiver suppresses" [] r;
-  Alcotest.(check bool) "suppression recorded for staleness audit" true
-    (r.Typedlint.suppressed <> [])
+  check_rules "file-level waiver suppresses, and counts as used" [] r;
+  Alcotest.(check bool) "honored tally counts it" true
+    (r.Typedlint.waivers_honored > 0)
+
+(* --- path rules: nondeterminism and memory-model ----------------------------------- *)
+
+let scan_rules ?waivers src = rules (scan ?waivers src)
+
+let test_lint_rules_fire () =
+  let cases =
+    [ ( "let f t = Hashtbl.iter (fun _ _ -> ()) t\n",
+        [ "nondet/hashtbl-order" ] );
+      ("let ks t = Hashtbl.to_seq_keys t\n", [ "nondet/hashtbl-order" ]);
+      ("let t0 () = Unix.gettimeofday ()\n", [ "nondet/wall-clock" ]);
+      ("let t0 () = Unix.time ()\n", [ "nondet/wall-clock" ]);
+      ("let t0 () = Sys.time ()\n", [ "nondet/wall-clock" ]);
+      ("let x () = Random.int 5\n", [ "nondet/ambient-random" ]);
+      ("let x () = Stdlib.Random.(int 5)\n", [ "nondet/ambient-random" ]);
+      ("let d () = (Domain.self () :> int)\n", [ "nondet/domain-id" ]);
+      ("let k v = Obj.repr v\n", [ "mm/physical-eq-key" ]);
+      ("let k v : int = Obj.magic v\n", [ "mm/physical-eq-key" ]);
+      ( "type t = { published : int Atomic.t }\n\
+         let v t = Atomic.get t.published\n",
+        [ "mm/naked-atomic-get" ] ) ]
+  in
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check (list string)) src expected (scan_rules src))
+    cases
+
+(* spellings a one-line token match cannot see: local and whole-module
+   opens, a module alias, and an identifier that merely contains "sort" *)
+let test_lint_aliasing_probes () =
+  let cases =
+    [ ("let t () = Unix.(gettimeofday ())\n", "nondet/wall-clock");
+      ("open Unix\nlet t () = gettimeofday ()\n", "nondet/wall-clock");
+      ( "module H = Hashtbl\n\
+         let ks t = H.fold (fun k _ acc -> k :: acc) t []\n",
+        "nondet/hashtbl-order" );
+      ("let d () = Domain.(self ())\n", "nondet/domain-id");
+      ( "let first_unsorted t = Hashtbl.fold (fun k _ acc -> k :: acc) t []\n",
+        "nondet/hashtbl-order" ) ]
+  in
+  List.iter
+    (fun (src, rule) ->
+      Alcotest.(check (list string)) src [ rule ] (scan_rules src))
+    cases
+
+let test_lint_exemptions () =
+  let clean =
+    [ (* a fold whose value goes straight into a sort *)
+      "let ks t = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t [])\n";
+      "let ks t = Hashtbl.fold (fun k _ acc -> k :: acc) t [] |> List.sort compare\n";
+      (* seeded random state is deterministic *)
+      "let st () = Random.State.make [| 7 |]\n";
+      "let n st = Random.State.int st 5\n";
+      (* allocation alone is not a finding: typed/module-escape judges
+         real reachability instead *)
+      "let cache : (int, int) Hashtbl.t = Hashtbl.create 64\n";
+      "let lock = Mutex.create ()\n";
+      "module Obs = struct\n\
+      \  module Metrics = struct let counter _ = ref 0 end\n\
+       end\n\
+       let m_x = Obs.Metrics.counter \"x\"\n";
+      "let n t = Hashtbl.length t\n";
+      (* Atomic.get of a field that is not the publication fence *)
+      "type t = { count : int Atomic.t }\nlet v t = Atomic.get t.count\n" ]
+  in
+  List.iter
+    (fun src -> Alcotest.(check (list string)) src [] (scan_rules src))
+    clean
+
+(* --- source stripping and marker coverage ------------------------------------------ *)
+
+(* the code-only text of [src], runs of blanks collapsed *)
+let code_of src =
+  List.map
+    (fun l ->
+      String.concat " "
+        (List.filter (( <> ) "") (String.split_on_char ' ' l)))
+    (Array.to_list (snd (Lint_common.strip_lines src)))
+
+let covers_of src =
+  let ws, _ =
+    Lint_common.line_waivers ~known:Typedlint.rule_ids ~path:"x.ml" src
+  in
+  List.map (fun w -> w.Lint_common.lw_covers) ws
+
+let test_lint_strip () =
+  let cases =
+    [ (* tokens inside comments, strings and chars never reach the code *)
+      ("(* Unix.gettimeofday is mentioned here *)\nlet x = 1\n",
+       [ ""; "let x = 1"; "" ]);
+      ("let s = \"Hashtbl.iter inside a string\"\n", [ "let s ="; "" ]);
+      ( "let c = '\"' and y = Random.State.make_self_init\n",
+        [ "let c = and y = Random.State.make_self_init"; "" ] );
+      ( "(* outer (* Obj.magic nested *) still comment *)\nlet x = 1\n",
+        [ ""; "let x = 1"; "" ] );
+      ("let q = {|Domain.self in a quoted string|}\n", [ "let q ="; "" ]);
+      (* regression: delimited quoted strings inside comments balance like
+         the real lexer: a close-comment token inside the quoted part does
+         not end the comment *)
+      ( "(* {x| *) Obj.magic |x} still a comment *)\nlet x = 1\n",
+        [ ""; "let x = 1"; "" ] );
+      ( "(* {| *) Obj.magic |} still a comment *)\nlet x = 1\n",
+        [ ""; "let x = 1"; "" ] );
+      (* regression: delimited quoted strings in code *)
+      ( "let q = {ext|Obj.magic \" unclosed|ext}\nlet y = 2\n",
+        [ "let q ="; "let y = 2"; "" ] );
+      (* regression: escaped quotes keep the string open *)
+      ( "let s = \"a \\\" Hashtbl.iter f t \\\" b\"\nlet y = 2\n",
+        [ "let s ="; "let y = 2"; "" ] );
+      (* a comment opened on one line hides code-looking text on the next *)
+      ( "(* comment spanning\n   Hashtbl.iter lines *)\nlet x = 1\n",
+        [ ""; ""; "let x = 1"; "" ] );
+      (* after a comment-embedded quoted string closes, code resumes *)
+      ( "(* {| *) |} *)\nlet () = Hashtbl.iter f t\n",
+        [ ""; "let () = Hashtbl.iter f t"; "" ] );
+      (* regression: a char-literal quote inside a comment must not open a
+         string and swallow the code after the comment *)
+      ( "(* '\"' *)\nlet () = Hashtbl.iter f t\n",
+        [ ""; "let () = Hashtbl.iter f t"; "" ] );
+      ( "(* '\\\"' *)\nlet () = Hashtbl.iter f t\n",
+        [ ""; "let () = Hashtbl.iter f t"; "" ] ) ]
+  in
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check (list string)) src expected (code_of src))
+    cases;
+  (* a marker counts only where the lexer is inside a comment *)
+  let markers =
+    [ ( "let t = f x (* lint-waive: nondet/hashtbl-order — commutative \
+         accumulation, honest *)\n",
+        [ [ 1 ] ] );
+      ( "(* lint-waive: nondet/hashtbl-order — the justification wraps over \
+         this\n   second comment line before the site below. *)\n\
+         let () = f x\n",
+        [ [ 1; 2; 3 ] ] );
+      ( "let s = \"lint-waive: nondet/wall-clock — in a string, not a \
+         marker\"\n",
+        [] );
+      ( "let q = {|lint-waive: nondet/wall-clock — in a quoted string|}\n",
+        [] );
+      ( "(* \"lint-waive: nondet/wall-clock — quoted inside prose\" *)\n\
+         let x = 1\n",
+        [] );
+      ( "(* {| *) |} lint-waive: nondet/wall-clock — after a quoted string \
+         closes *)\n\
+         let x = 1\n",
+        [ [ 1; 2 ] ] );
+      ( "(* '\"' lint-waive: nondet/wall-clock — after a char literal quote \
+         *)\n\
+         let x = 1\n",
+        [ [ 1; 2 ] ] );
+      ( "let s = \"lint-waive: x\" (* lint-waive: nondet/wall-clock — the \
+         real marker *)\n",
+        [ [ 1 ] ] ) ]
+  in
+  List.iter
+    (fun (src, expected) ->
+      Alcotest.(check (list (list int))) src expected (covers_of src))
+    markers
+
+(* --- waivers of the path rules ----------------------------------------------------- *)
+
+let hashtbl_site = "let f t = Hashtbl.iter (fun _ _ -> ()) t"
+
+let test_lint_waivers_in_source () =
+  check_rules "trailing waiver" []
+    (scan
+       (hashtbl_site
+      ^ " (* lint-waive: nondet/hashtbl-order — commutative accumulation, \
+         honest *)\n"));
+  check_rules "standalone waiver reaches past its comment" []
+    (scan
+       ("(* lint-waive: nondet/hashtbl-order — the justification wraps over \
+         this\n   second comment line before the site below. *)\n"
+      ^ hashtbl_site ^ "\n"));
+  check_rules "waiver without justification is a finding"
+    [ "lint/waiver-unjustified"; "nondet/hashtbl-order" ]
+    (scan
+       ("(* lint-waive: nondet/hashtbl-order *)\n" ^ hashtbl_site ^ "\n"));
+  check_rules "unknown rule id" [ "lint/waiver-unknown-rule" ]
+    (scan
+       "(* lint-waive: nondet/no-such-rule — plausible words but a bogus id \
+        *)\n\
+        let x = 1\n");
+  check_rules "stale in-source waiver" [ "lint/waiver-unused" ]
+    (scan
+       "(* lint-waive: nondet/hashtbl-order — nothing below still needs \
+        this *)\n\
+        let x = 1\n")
+
+(* a marker spelled inside a string literal is text, not a waiver *)
+let test_lint_string_literal_marker () =
+  check_rules "wall-clock finding survives" [ "nondet/wall-clock" ]
+    (scan
+       "let t () = ignore \"lint-waive: nondet/wall-clock — timing only\"; \
+        Unix.gettimeofday ()\n")
+
+(* the typed head runs the whole discipline: unjustified, unknown-rule and
+   stale markers, each at its own line *)
+let test_lint_waiver_discipline () =
+  let r =
+    scan
+      "(* lint-waive: nondet/wall-clock *)\n\
+       let a () = 1\n\
+       (* lint-waive: nondet/no-such-rule — plausible words but a bogus id *)\n\
+       let b () = 2\n\
+       (* lint-waive: nondet/wall-clock — leftover after the clock read \
+       moved *)\n\
+       let c () = 3\n"
+  in
+  Alcotest.(check (list (pair string (list string))))
+    "one finding per marker"
+    [ ("lint/waiver-unjustified", [ "mutant.ml:1" ]);
+      ("lint/waiver-unknown-rule", [ "mutant.ml:3" ]);
+      ("lint/waiver-unused", [ "mutant.ml:5" ]) ]
+    (List.map
+       (fun f -> (f.Sanitize.rule_id, f.Sanitize.sites))
+       r.Typedlint.findings)
+
+let test_lint_file_waivers () =
+  let waivers, probs =
+    Lint_common.parse_waivers
+      "# comment\n\
+       nondet/hashtbl-order mutant grouped results are order-canonical \
+       downstream\n\
+       short x y\n"
+  in
+  Alcotest.(check int) "one parsed waiver" 1 (List.length waivers);
+  Alcotest.(check int) "one malformed line reported" 1 (List.length probs);
+  (* suppressing, the waiver counts as used: no lint/waiver-unused *)
+  let r = scan ~waivers (hashtbl_site ^ "\n") in
+  check_rules "file waiver suppresses" [] r;
+  Alcotest.(check int) "suppression counted" 1 r.Typedlint.waivers_honored;
+  (* a waiver for another file suppresses nothing here, and is stale *)
+  let elsewhere =
+    List.map (fun w -> { w with Lint_common.w_path = "other/y.ml" }) waivers
+  in
+  check_rules "no suppression elsewhere"
+    [ "lint/waiver-unused"; "nondet/hashtbl-order" ]
+    (scan ~waivers:elsewhere (hashtbl_site ^ "\n"))
+
+(* The repo's LINT_WAIVERS must parse clean and name only rules the lint
+   can still evaluate — an entry for a retired rule is dead weight.
+   Staleness proper (an entry that suppresses nothing) is enforced by the
+   `dune runtest` lint gate, which scans the real tree. *)
+let test_lint_waivers_audit () =
+  let waivers, probs = Lint_common.parse_waivers (read_file "../LINT_WAIVERS") in
+  Alcotest.(check (list string))
+    "LINT_WAIVERS parses without findings" []
+    (List.map (fun f -> f.Sanitize.rule_id) probs);
+  List.iter
+    (fun w ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rule %s is a lint rule" w.Lint_common.w_rule)
+        true
+        (List.mem w.Lint_common.w_rule Typedlint.rule_ids);
+      Alcotest.(check bool)
+        (Printf.sprintf "justification for %s is substantial"
+           w.Lint_common.w_rule)
+        true
+        (String.length w.Lint_common.w_reason >= Lint_common.min_reason_len))
+    waivers
 
 (* --- property: no false positives on pure closures --------------------------------- *)
 
@@ -377,7 +644,9 @@ let qcheck_pure_closures_clean =
 let test_rule_ids_and_stats () =
   Alcotest.(check (list string))
     "rule inventory"
-    [ "typed/blocking-in-task"; "typed/capture-escape";
+    [ "mm/naked-atomic-get"; "mm/physical-eq-key"; "nondet/ambient-random";
+      "nondet/domain-id"; "nondet/hashtbl-order"; "nondet/wall-clock";
+      "typed/blocking-in-task"; "typed/capture-escape";
       "typed/lock-discipline"; "typed/module-escape" ]
     Typedlint.rule_ids;
   let r = scan (capture_mutant_with "") in
@@ -425,6 +694,21 @@ let () =
             test_waiver_trailing_honored;
           Alcotest.test_case "stale" `Quick test_waiver_stale;
           Alcotest.test_case "file level" `Quick test_waiver_file_level ] );
+      ( "lint",
+        [ Alcotest.test_case "rules fire" `Quick test_lint_rules_fire;
+          Alcotest.test_case "aliasing probes" `Quick
+            test_lint_aliasing_probes;
+          Alcotest.test_case "exemptions" `Quick test_lint_exemptions;
+          Alcotest.test_case "stripping" `Quick test_lint_strip;
+          Alcotest.test_case "in-source waivers" `Quick
+            test_lint_waivers_in_source;
+          Alcotest.test_case "string-literal marker" `Quick
+            test_lint_string_literal_marker;
+          Alcotest.test_case "waiver discipline" `Quick
+            test_lint_waiver_discipline;
+          Alcotest.test_case "file waivers" `Quick test_lint_file_waivers;
+          Alcotest.test_case "repo waiver audit" `Quick
+            test_lint_waivers_audit ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest qcheck_pure_closures_clean ] );
       ( "plumbing",

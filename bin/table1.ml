@@ -1,4 +1,4 @@
-(* Standalone Table I regeneration (also part of bench/main.exe).
+(* Standalone Table I regeneration.
 
    Usage: table1 [--jobs N] [--names a,b,c] [--no-verify] [--verify-each]
                  [--verify-json FILE] [--eqcheck-each] [--eqcheck-json FILE]

@@ -32,7 +32,9 @@ val create : ?cache_size:int -> ?mode:mode -> unit -> man
     one. *)
 
 val set_default_mode : mode -> unit
-(** Mode used by [create] when [?mode] is omitted.  Initially [`Shared]. *)
+(** Mode used by [create] when [?mode] is omitted.  Initially [`Shared].
+    No flow sets it; test_bdd_shared switches a whole suite run to
+    [`Private] to check that the shared table never changes its output. *)
 
 val default_mode : unit -> mode
 

@@ -38,10 +38,6 @@ let cores () = Domain.recommended_domain_count ()
 
 let default_jobs () = max 1 (cores ())
 
-(* More workers than cores measures scheduling overhead, not scaling;
-   benchmark reporters use this to flag misleading speedup numbers. *)
-let oversubscribed ~jobs = jobs > cores ()
-
 exception Worker_failure of int * exn
 
 (* Scheduler observability: counts vary with [jobs] and scheduling (steals,

@@ -12,10 +12,6 @@ val cores : unit -> int
 val default_jobs : unit -> int
 (** [max 1 (cores ())]. *)
 
-val oversubscribed : jobs:int -> bool
-(** [jobs > cores ()]: more workers than cores measures scheduling overhead,
-    not scaling; benchmark reporters flag such runs. *)
-
 exception Worker_failure of int * exn
 (** Raised by {!map} with the item index and original exception of the
     lowest-indexed failing item.  The original backtrace is preserved

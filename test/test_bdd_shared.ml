@@ -132,6 +132,29 @@ let test_eqcheck_memo_reuse () =
   Alcotest.(check bool) "verdicts proved" true (proved > 0);
   Alcotest.(check int) "no refuted verdicts" 0 refuted
 
+(* Scope accounting makes the table invisible in the output: the
+   --eqcheck-each table, summary and verdict tallies on real flows are
+   byte-identical whether every scope shares the process-wide table (the
+   default) or builds a private one. *)
+let test_eqcheck_each_private_tables () =
+  let output () =
+    let rows =
+      Report.Table.run_suite ~eqcheck_each:true ~names:[ "s27"; "s208" ] ()
+    in
+    Report.Table.render rows ^ Report.Table.summary rows
+    ^ Report.Table.eqcheck_summary rows
+  in
+  let shared = output () in
+  let saved = Bdd.default_mode () in
+  let private_ =
+    Fun.protect
+      ~finally:(fun () -> Bdd.set_default_mode saved)
+      (fun () ->
+        Bdd.set_default_mode `Private;
+        output ())
+  in
+  Alcotest.(check string) "private tables = shared table" shared private_
+
 let () =
   Alcotest.run "bdd_shared"
     [ ("differential",
@@ -143,5 +166,7 @@ let () =
       ("parallel",
        [ Alcotest.test_case "two-domain stress" `Quick test_two_domain_stress ]);
       ("eqcheck-memo",
-       [ Alcotest.test_case "memo reuse on s27" `Quick test_eqcheck_memo_reuse ])
+       [ Alcotest.test_case "memo reuse on s27" `Quick test_eqcheck_memo_reuse;
+         Alcotest.test_case "private tables, same output" `Quick
+           test_eqcheck_each_private_tables ])
     ]

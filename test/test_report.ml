@@ -121,6 +121,70 @@ let test_run_suite_jobs_deterministic_eqcheck () =
   Alcotest.(check string)
     "jobs=4 matches serial (eqcheck-each + verify-each)" serial (render 4)
 
+(* --verify-each and --eqcheck-each only observe the flow: the rendered
+   table with either switch on is the table with it off. *)
+let observation_only_names = [ "s27"; "s208"; "s298" ]
+
+let test_verify_each_observation_only () =
+  let render verify_each =
+    Report.Table.render
+      (Report.Table.run_suite ~verify_each ~names:observation_only_names ())
+  in
+  Alcotest.(check string) "verify-each on = off" (render false) (render true)
+
+let test_eqcheck_each_observation_only () =
+  let render eqcheck_each =
+    Report.Table.render
+      (Report.Table.run_suite ~eqcheck_each ~names:observation_only_names ())
+  in
+  Alcotest.(check string) "eqcheck-each on = off" (render false) (render true)
+
+(* Paper vs measured: each row's qualitative expectation from the paper's
+   text ({!Circuits.Suite.expectation}) against the Table I outcome pinned
+   in perfbench/expected_rows.txt, where a group of "-" cells marks a
+   failed retiming or a declined resynthesis. *)
+let test_paper_expectations () =
+  let failed group =
+    match List.filter (( <> ) "") (String.split_on_char ' ' group) with
+    | cells when List.for_all (( = ) "-") cells -> true
+    | cells when not (List.mem "-" cells) -> false
+    | _ -> Alcotest.failf "group %S mixes dashes and numbers" group
+  in
+  let outcomes =
+    In_channel.with_open_text "../perfbench/expected_rows.txt"
+      In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.trim l <> "")
+    |> List.map (fun l ->
+           match String.split_on_char '|' l with
+           | [ name; _base; retimed; resynth ] ->
+             (String.trim name, (failed retimed, failed resynth))
+           | _ -> Alcotest.failf "malformed row %S" l)
+  in
+  let mismatches =
+    List.filter_map
+      (fun (e : Circuits.Suite.entry) ->
+        let retime_failed, resynth_declined =
+          List.assoc e.Circuits.Suite.name outcomes
+        in
+        let matched =
+          match e.Circuits.Suite.expectation with
+          | Circuits.Suite.Normal -> not resynth_declined
+          | Circuits.Suite.Retiming_fails -> retime_failed
+          | Circuits.Suite.Resynthesis_na | Circuits.Suite.Resynthesis_hurts ->
+            resynth_declined
+        in
+        if matched then None else Some e.Circuits.Suite.name)
+      Circuits.Suite.entries
+  in
+  Alcotest.(check int) "rows" 21 (List.length outcomes);
+  Alcotest.(check (list string)) "mismatched rows"
+    [ "ex2"; "bbara"; "planet"; "s344"; "s382"; "s400"; "s420"; "s510";
+      "s641" ]
+    mismatches;
+  Alcotest.(check int) "matched" 12
+    (List.length Circuits.Suite.entries - List.length mismatches)
+
 let test_parallel_map () =
   let items = Array.init 57 Fun.id in
   let square x = x * x in
@@ -153,4 +217,10 @@ let () =
             test_run_suite_jobs_deterministic;
           Alcotest.test_case "jobs determinism (eqcheck-each)" `Quick
             test_run_suite_jobs_deterministic_eqcheck;
+          Alcotest.test_case "verify-each is observation-only" `Quick
+            test_verify_each_observation_only;
+          Alcotest.test_case "eqcheck-each is observation-only" `Quick
+            test_eqcheck_each_observation_only;
+          Alcotest.test_case "paper expectations" `Quick
+            test_paper_expectations;
           Alcotest.test_case "parallel map" `Quick test_parallel_map ] ) ]

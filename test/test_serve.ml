@@ -147,11 +147,16 @@ let test_jobs_determinism () =
   Alcotest.(check string) "jobs 1 vs 2 byte-identical" p1 p2;
   Alcotest.(check string) "jobs 1 vs 4 byte-identical" p1 p4
 
+(* A repeat of the same request hits the warm cache and the already-interned
+   BDD nodes; warmth may change latency, never the payload. *)
 let test_row_matches_one_shot () =
   let via_engine =
     Core.Parallel.run ~jobs:2 (fun () ->
         let eng = E.create () in
         submit_and_drain eng ~id:"r" (P.Benchmark "s27");
+        submit_and_drain eng ~id:"warm" (P.Benchmark "s27");
+        Alcotest.(check string) "warm payload = cold payload"
+          (result_payload eng "r") (result_payload eng "warm");
         match J.member "result" (E.result eng "r") with
         | Some p -> J.mem_str "row" p
         | None -> None)

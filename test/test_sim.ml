@@ -104,22 +104,6 @@ let test_no_synchronizing_sequence () =
   Alcotest.(check bool) "not synchronizable" true
     (S.synchronizing_sequence ~seed:7 ~attempts:8 ~max_len:16 net = None)
 
-let test_vcd_dump () =
-  let net = toggle () in
-  let vectors = List.init 4 (fun _ _ -> true) in
-  let text = Sim.Vcd.dump net ~vectors in
-  let contains needle =
-    let n = String.length needle and h = String.length text in
-    let rec go i = i + n <= h && (String.sub text i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "definitions" true (contains "$enddefinitions");
-  Alcotest.(check bool) "en declared" true (contains "$var wire 1 ! en $end");
-  Alcotest.(check bool) "has timesteps" true (contains "#3");
-  (* the register toggles, so its code must appear with both values *)
-  Alcotest.(check bool) "r rises" true (contains "1\"");
-  Alcotest.(check bool) "r falls" true (contains "0\"")
-
 (* --- equivalence ------------------------------------------------------------ *)
 
 let test_seq_equal_bdd_positive () =
@@ -262,8 +246,7 @@ let () =
           Alcotest.test_case "synchronizing sequence" `Quick
             test_synchronizing_sequence;
           Alcotest.test_case "unsynchronizable" `Quick
-            test_no_synchronizing_sequence;
-          Alcotest.test_case "vcd dump" `Quick test_vcd_dump ] );
+            test_no_synchronizing_sequence ] );
       ( "equiv",
         [ Alcotest.test_case "bdd positive" `Quick test_seq_equal_bdd_positive;
           Alcotest.test_case "bdd negative" `Quick test_seq_equal_bdd_negative;
